@@ -36,3 +36,15 @@ pub use statistics::{ColumnStatistics, HistogramBucket, TableStatistics};
 pub use table::TableDef;
 pub use types::DataType;
 pub use warehouse::{sales_schema, tpch_schema, SalesScale};
+
+use std::borrow::Cow;
+
+/// The lookup key for a case-insensitive name: names are stored lower-case,
+/// so one without ASCII upper-case letters is its own key and needs no copy.
+fn lookup_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}

@@ -1,5 +1,6 @@
 //! The catalog: a named collection of tables.
 
+use crate::lookup_key;
 use crate::table::TableDef;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -32,12 +33,12 @@ impl Catalog {
 
     /// Look up a table by name (case-insensitive).
     pub fn table(&self, name: &str) -> Option<&TableDef> {
-        self.tables.get(&name.to_ascii_lowercase())
+        self.tables.get(&*lookup_key(name))
     }
 
     /// True when the table exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.tables.contains_key(&name.to_ascii_lowercase())
+        self.tables.contains_key(&*lookup_key(name))
     }
 
     /// Iterate all tables in name order.
@@ -71,6 +72,7 @@ impl Catalog {
 mod tests {
     use super::*;
     use crate::column::ColumnDef;
+    use crate::statistics::{ColumnStatistics, TableStatistics};
     use crate::types::DataType;
 
     fn simple_catalog() -> Catalog {
@@ -96,6 +98,28 @@ mod tests {
         assert!(cat.contains("T2"));
         assert!(!cat.contains("t3"));
         assert_eq!(cat.table_count(), 2);
+    }
+
+    #[test]
+    fn mixed_case_names_resolve_through_every_lookup() {
+        let mut cat = Catalog::new("test");
+        cat.add_table(TableDef {
+            statistics: TableStatistics::new(10)
+                .with_column("Amount", ColumnStatistics::key_column(10)),
+            ..TableDef::new("Sales", vec![ColumnDef::new("Amount", DataType::Int)], 10)
+        });
+        for name in ["sales", "Sales", "SALES", "sAlEs"] {
+            let t = cat.table(name).expect("table resolves");
+            assert!(cat.contains(name));
+            for column in ["amount", "Amount", "AMOUNT"] {
+                assert!(t.column(column).is_some(), "{name}.{column}");
+                assert_eq!(t.column_index(column), Some(0));
+                assert!(t.statistics.column(column).is_some(), "{name}.{column}");
+                assert_eq!(t.statistics.distinct_or_default(column), 10);
+            }
+        }
+        assert!(cat.table("sale").is_none());
+        assert!(cat.table("Sales").unwrap().column("Amounts").is_none());
     }
 
     #[test]

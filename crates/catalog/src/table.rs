@@ -2,6 +2,7 @@
 
 use crate::column::ColumnDef;
 use crate::index::IndexDef;
+use crate::lookup_key;
 use crate::statistics::TableStatistics;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -43,14 +44,14 @@ impl TableDef {
 
     /// Find a column by name (case-insensitive).
     pub fn column(&self, name: &str) -> Option<&ColumnDef> {
-        let lower = name.to_ascii_lowercase();
-        self.columns.iter().find(|c| c.name == lower)
+        let key = lookup_key(name);
+        self.columns.iter().find(|c| c.name == key)
     }
 
     /// Position of a column by name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
-        let lower = name.to_ascii_lowercase();
-        self.columns.iter().position(|c| c.name == lower)
+        let key = lookup_key(name);
+        self.columns.iter().position(|c| c.name == key)
     }
 
     /// Average row width in bytes, computed from the column types unless the
