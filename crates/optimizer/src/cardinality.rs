@@ -7,6 +7,21 @@ use throttledb_catalog::Catalog;
 /// model divides by them.
 const MIN_ROWS: f64 = 1.0;
 
+/// Output rows of a join given child cardinalities and, per equi-join
+/// predicate, the distinct-value counts of its two columns: the classic
+/// `|L|·|R| / max(ndv(l), ndv(r))` per predicate, a cross product with none.
+pub fn join_rows_by_ndv(
+    left_rows: f64,
+    right_rows: f64,
+    predicate_ndvs: impl IntoIterator<Item = (f64, f64)>,
+) -> f64 {
+    let mut rows = left_rows * right_rows;
+    for (left, right) in predicate_ndvs {
+        rows /= left.max(right).max(1.0);
+    }
+    rows.max(MIN_ROWS)
+}
+
 /// Estimates operator output cardinalities against a catalog.
 #[derive(Debug, Clone, Copy)]
 pub struct CardinalityEstimator<'a> {
@@ -130,20 +145,16 @@ impl<'a> CardinalityEstimator<'a> {
         rows.max(MIN_ROWS)
     }
 
-    /// Output rows of a join given child cardinalities.
-    ///
-    /// Per equi-join predicate the classic `|L|·|R| / max(ndv(l), ndv(r))`
-    /// formula; with no predicate it is a cross product.
+    /// Output rows of a join given child cardinalities (see
+    /// [`join_rows_by_ndv`]).
     pub fn join_rows(&self, left_rows: f64, right_rows: f64, predicates: &[JoinPredicate]) -> f64 {
-        let mut rows = left_rows * right_rows;
-        for p in predicates {
-            let ndv = self
-                .distinct_values(&p.left)
-                .max(self.distinct_values(&p.right))
-                .max(1.0);
-            rows /= ndv;
-        }
-        rows.max(MIN_ROWS)
+        let ndvs = predicates.iter().map(|p| {
+            (
+                self.distinct_values(&p.left),
+                self.distinct_values(&p.right),
+            )
+        });
+        join_rows_by_ndv(left_rows, right_rows, ndvs)
     }
 
     /// Output rows of a group-by aggregation.

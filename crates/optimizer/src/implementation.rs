@@ -7,7 +7,7 @@
 use crate::cardinality::CardinalityEstimator;
 use crate::cost::{Cost, CostModel};
 use crate::logical::LogicalOp;
-use crate::memo::{GroupId, Memo, Winner};
+use crate::memo::{ExprId, GroupId, Implementation, Memo, MemoOp, Winner};
 use crate::memory::{sizes, CompilationMemory};
 use crate::physical::{PhysicalOp, PhysicalPlan};
 use throttledb_catalog::Catalog;
@@ -25,6 +25,9 @@ pub struct ImplementationContext<'a> {
 /// Compute winners for `group` and (recursively) everything it depends on.
 /// Returns the winner's total cost, or `None` when the group has no
 /// implementable expression (cannot happen for binder-produced plans).
+///
+/// Alternatives are compared by cost alone; the winner records which
+/// [`Implementation`] won, and [`extract_plan`] builds its operator.
 pub fn optimize_group(
     memo: &mut Memo,
     group: GroupId,
@@ -34,49 +37,43 @@ pub fn optimize_group(
     if let Some(w) = &memo.group(group).winner {
         return Some(w.total_cost);
     }
-    let expr_ids = memo.group(group).exprs.clone();
     let mut best: Option<Winner> = None;
 
-    for expr_id in expr_ids {
-        let (op, children) = {
-            let e = memo.expr(expr_id);
-            (e.op.clone(), e.children.clone())
-        };
+    'exprs: for i in 0..memo.group(group).exprs.len() {
+        let expr_id = memo.group(group).exprs[i];
+        let expr = *memo.expr(expr_id);
         // Optimize children first.
-        let mut child_costs = Vec::with_capacity(children.len());
-        let mut ok = true;
-        for c in &children {
+        let mut child_total = Cost::ZERO;
+        for c in expr.children() {
             match optimize_group(memo, *c, ctx, mem) {
-                Some(cost) => child_costs.push(cost),
-                None => {
-                    ok = false;
-                    break;
-                }
+                Some(cost) => child_total = child_total + cost,
+                None => continue 'exprs,
             }
         }
-        if !ok {
-            continue;
-        }
-        let child_total: Cost = child_costs.iter().fold(Cost::ZERO, |acc, c| acc + *c);
 
-        for alternative in physical_alternatives(memo, group, &op, &children, ctx) {
-            mem.charge(sizes::PHYSICAL_EXPR_BYTES);
-            let (phys_op, local_cost, memory_bytes) = alternative;
-            let total_cost = local_cost + child_total;
-            let better = match &best {
-                None => true,
-                Some(b) => total_cost.total() < b.total_cost.total(),
-            };
-            if better {
-                best = Some(Winner {
-                    op: phys_op,
-                    children: children.clone(),
-                    local_cost,
-                    total_cost,
-                    memory_bytes,
-                });
-            }
-        }
+        for_each_alternative(
+            memo,
+            group,
+            expr_id,
+            ctx,
+            |implementation, local_cost, memory_bytes| {
+                mem.charge(sizes::PHYSICAL_EXPR_BYTES);
+                let total_cost = local_cost + child_total;
+                let better = match &best {
+                    None => true,
+                    Some(b) => total_cost.total() < b.total_cost.total(),
+                };
+                if better {
+                    best = Some(Winner {
+                        expr: expr_id,
+                        implementation,
+                        local_cost,
+                        total_cost,
+                        memory_bytes,
+                    });
+                }
+            },
+        );
     }
 
     let cost = best.as_ref().map(|w| w.total_cost);
@@ -84,72 +81,29 @@ pub fn optimize_group(
     cost
 }
 
-/// Generate the physical alternatives for one logical expression.
-/// Returns `(operator, local cost, execution memory)` triples.
-fn physical_alternatives(
+/// Cost each physical alternative of one logical expression, in a fixed
+/// order, calling `consider(implementation, local cost, execution memory)`.
+fn for_each_alternative(
     memo: &Memo,
     group: GroupId,
-    op: &LogicalOp,
-    children: &[GroupId],
+    expr_id: ExprId,
     ctx: &ImplementationContext<'_>,
-) -> Vec<(PhysicalOp, Cost, u64)> {
+    mut consider: impl FnMut(Implementation, Cost, u64),
+) {
     let model = &ctx.model;
     let out_rows = memo.group(group).rows;
-    match op {
-        LogicalOp::Get {
-            table,
-            binding,
-            predicates,
-        } => {
-            let mut alts = Vec::new();
-            let (pages, raw_rows) = match ctx.catalog.table(table) {
-                Some(t) => (t.total_pages() as f64, t.row_count() as f64),
-                None => (1000.0, 100_000.0),
-            };
-            alts.push((
-                PhysicalOp::TableScan {
-                    table: table.clone(),
-                    binding: binding.clone(),
-                    predicates: predicates.clone(),
-                },
-                model.table_scan(raw_rows, pages),
-                0,
-            ));
-            // An index seek is possible when some predicate's column is the
-            // leading key of an index on this table.
-            if let Some(t) = ctx.catalog.table(table) {
-                for pred in predicates {
-                    let Some(col) = pred.column() else { continue };
-                    for index in t.indexes_on(&col.column) {
-                        alts.push((
-                            PhysicalOp::IndexSeek {
-                                table: table.clone(),
-                                binding: binding.clone(),
-                                index: index.name.clone(),
-                                predicates: predicates.clone(),
-                            },
-                            model.index_seek(out_rows, pages),
-                            0,
-                        ));
-                    }
-                }
-            }
-            alts
-        }
-        LogicalOp::Join { kind, predicates } => {
-            let left = memo.group(children[0]);
-            let right = memo.group(children[1]);
-            let mut alts = Vec::new();
+    let expr = memo.expr(expr_id);
+    let op = match expr.op {
+        MemoOp::Join { preds, .. } => {
+            let left = memo.group(expr.children()[0]);
+            let right = memo.group(expr.children()[1]);
             // Hash join: build on the right child.
-            if !predicates.is_empty() {
-                alts.push((
-                    PhysicalOp::HashJoin {
-                        kind: *kind,
-                        predicates: predicates.clone(),
-                    },
+            if !memo.preds(preds).is_empty() {
+                consider(
+                    Implementation::HashJoin,
                     model.hash_join(right.rows, left.rows, out_rows),
                     model.hash_join_memory(right.rows, right.row_width),
-                ));
+                );
             }
             // Nested loops: re-evaluate the right side per left row.
             let right_cost = right
@@ -157,81 +111,123 @@ fn physical_alternatives(
                 .as_ref()
                 .map(|w| w.total_cost.total())
                 .unwrap_or(right.rows * model.cpu_per_row);
-            alts.push((
-                PhysicalOp::NestedLoopJoin {
-                    kind: *kind,
-                    predicates: predicates.clone(),
-                },
+            consider(
+                Implementation::NestedLoopJoin,
                 model.nested_loop_join(left.rows, right_cost, out_rows),
                 0,
-            ));
-            alts
+            );
+            return;
         }
+        MemoOp::Base(id) => memo.base_op(id),
+    };
+    if let LogicalOp::Get {
+        table, predicates, ..
+    } = op
+    {
+        let table = ctx.catalog.table(table);
+        let (pages, raw_rows) = match table {
+            Some(t) => (t.total_pages() as f64, t.row_count() as f64),
+            None => (1000.0, 100_000.0),
+        };
+        consider(
+            Implementation::TableScan,
+            model.table_scan(raw_rows, pages),
+            0,
+        );
+        // An index seek is possible when some predicate's column is the
+        // leading key of an index on this table.
+        if let Some(t) = table {
+            for pred in predicates {
+                let Some(col) = pred.column() else { continue };
+                for (position, index) in t.indexes.iter().enumerate() {
+                    if index.covers_prefix(&col.column) {
+                        consider(
+                            Implementation::IndexSeek(position as u32),
+                            model.index_seek(out_rows, pages),
+                            0,
+                        );
+                    }
+                }
+            }
+        }
+        return;
+    }
+    let input = memo.group(expr.children()[0]);
+    let (local_cost, memory_bytes) = match op {
+        LogicalOp::Aggregate { .. } => (
+            model.hash_aggregate(input.rows, out_rows),
+            model.hash_aggregate_memory(out_rows, memo.group(group).row_width),
+        ),
+        LogicalOp::Sort { .. } => (
+            model.sort(input.rows),
+            model.sort_memory(input.rows, input.row_width),
+        ),
+        LogicalOp::Limit { count } => (model.streaming(input.rows.min(*count as f64)), 0),
+        _ => (model.streaming(input.rows), 0),
+    };
+    consider(Implementation::Direct, local_cost, memory_bytes);
+}
+
+/// The named physical operator of a group's winner.
+fn physical_op(memo: &Memo, winner: &Winner, catalog: &Catalog) -> PhysicalOp {
+    let op = match memo.expr(winner.expr).op {
+        MemoOp::Join { kind, preds } => {
+            let predicates = memo.join_predicates(preds);
+            return match winner.implementation {
+                Implementation::HashJoin => PhysicalOp::HashJoin { kind, predicates },
+                _ => PhysicalOp::NestedLoopJoin { kind, predicates },
+            };
+        }
+        MemoOp::Base(id) => memo.base_op(id),
+    };
+    match op.clone() {
+        LogicalOp::Get {
+            table,
+            binding,
+            predicates,
+        } => match winner.implementation {
+            Implementation::IndexSeek(position) => PhysicalOp::IndexSeek {
+                index: catalog
+                    .table(&table)
+                    .map(|t| t.indexes[position as usize].name.clone())
+                    .unwrap_or_default(),
+                table,
+                binding,
+                predicates,
+            },
+            _ => PhysicalOp::TableScan {
+                table,
+                binding,
+                predicates,
+            },
+        },
         LogicalOp::Aggregate {
             group_by,
             aggregate_count,
-        } => {
-            let input = memo.group(children[0]);
-            vec![(
-                PhysicalOp::HashAggregate {
-                    group_by: group_by.clone(),
-                    aggregate_count: *aggregate_count,
-                },
-                model.hash_aggregate(input.rows, out_rows),
-                model.hash_aggregate_memory(out_rows, memo.group(group).row_width),
-            )]
-        }
-        LogicalOp::Filter { selectivity_ppm } => {
-            let input = memo.group(children[0]);
-            vec![(
-                PhysicalOp::Filter {
-                    selectivity_ppm: *selectivity_ppm,
-                },
-                model.streaming(input.rows),
-                0,
-            )]
-        }
-        LogicalOp::Project { column_count } => {
-            let input = memo.group(children[0]);
-            vec![(
-                PhysicalOp::Project {
-                    column_count: *column_count,
-                },
-                model.streaming(input.rows),
-                0,
-            )]
-        }
-        LogicalOp::Sort { key_count } => {
-            let input = memo.group(children[0]);
-            vec![(
-                PhysicalOp::Sort {
-                    key_count: *key_count,
-                },
-                model.sort(input.rows),
-                model.sort_memory(input.rows, input.row_width),
-            )]
-        }
-        LogicalOp::Limit { count } => {
-            let input = memo.group(children[0]);
-            vec![(
-                PhysicalOp::Limit { count: *count },
-                model.streaming(input.rows.min(*count as f64)),
-                0,
-            )]
-        }
+        } => PhysicalOp::HashAggregate {
+            group_by,
+            aggregate_count,
+        },
+        LogicalOp::Filter { selectivity_ppm } => PhysicalOp::Filter { selectivity_ppm },
+        LogicalOp::Project { column_count } => PhysicalOp::Project { column_count },
+        LogicalOp::Sort { key_count } => PhysicalOp::Sort { key_count },
+        LogicalOp::Limit { count } => PhysicalOp::Limit { count },
+        LogicalOp::Join { .. } => unreachable!("joins are interned as MemoOp::Join"),
     }
 }
 
-/// Extract the winner of `group` as a materialized [`PhysicalPlan`] tree.
-pub fn extract_plan(memo: &Memo, group: GroupId) -> Option<PhysicalPlan> {
+/// Extract the winner of `group` as a materialized [`PhysicalPlan`] tree,
+/// naming its operators from the memo's interned symbols and `catalog`.
+pub fn extract_plan(memo: &Memo, group: GroupId, catalog: &Catalog) -> Option<PhysicalPlan> {
     let g = memo.group(group);
     let w = g.winner.as_ref()?;
-    let mut children = Vec::with_capacity(w.children.len());
-    for c in &w.children {
-        children.push(extract_plan(memo, *c)?);
+    let child_groups = memo.expr(w.expr).children();
+    let mut children = Vec::with_capacity(child_groups.len());
+    for c in child_groups {
+        children.push(extract_plan(memo, *c, catalog)?);
     }
     Some(PhysicalPlan {
-        op: w.op.clone(),
+        op: physical_op(memo, w, catalog),
         children,
         est_rows: g.rows,
         est_row_width: g.row_width,
@@ -254,14 +250,14 @@ mod tests {
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
         let plan = Binder::new(&cat).bind(&parse(sql).unwrap()).unwrap();
-        let root = memo.insert_plan(&plan, &est, &mut mem);
+        let root = memo.insert_plan(&plan, &est, &mut mem).unwrap();
         let ctx = ImplementationContext {
             catalog: &cat,
             estimator: est,
             model: CostModel::default(),
         };
         optimize_group(&mut memo, root, &ctx, &mut mem).expect("optimizable");
-        let phys = extract_plan(&memo, root).expect("winner");
+        let phys = extract_plan(&memo, root, &cat).expect("winner");
         (memo, root, phys)
     }
 
@@ -345,7 +341,7 @@ mod tests {
         let plan = Binder::new(&cat)
             .bind(&parse("SELECT o_orderkey FROM orders").unwrap())
             .unwrap();
-        let root = memo.insert_plan(&plan, &est, &mut mem);
+        let root = memo.insert_plan(&plan, &est, &mut mem).unwrap();
         let ctx = ImplementationContext {
             catalog: &cat,
             estimator: est,
@@ -371,7 +367,7 @@ mod tests {
         let plan = Binder::new(&cat)
             .bind(&parse("SELECT o_orderkey FROM orders").unwrap())
             .unwrap();
-        let root = memo.insert_plan(&plan, &est, &mut mem);
+        let root = memo.insert_plan(&plan, &est, &mut mem).unwrap();
         let before = mem.used_bytes();
         let ctx = ImplementationContext {
             catalog: &cat,
@@ -391,7 +387,7 @@ mod tests {
         let plan = Binder::new(&cat)
             .bind(&parse("SELECT o_orderkey FROM orders").unwrap())
             .unwrap();
-        let root = memo.insert_plan(&plan, &est, &mut mem);
-        assert!(extract_plan(&memo, root).is_none());
+        let root = memo.insert_plan(&plan, &est, &mut mem).unwrap();
+        assert!(extract_plan(&memo, root, &cat).is_none());
     }
 }

@@ -10,8 +10,7 @@
 //! optimization" limits effort (and memory) for cheap queries.
 
 use crate::cardinality::CardinalityEstimator;
-use crate::logical::{JoinPredicate, LogicalOp};
-use crate::memo::{ExprId, GroupId, Memo};
+use crate::memo::{ExprId, GroupId, JoinPred, Memo, MemoOp, PredsId};
 use crate::memory::{sizes, CompilationMemory};
 use throttledb_sqlparse::JoinKind;
 
@@ -46,17 +45,18 @@ impl Rule {
 }
 
 /// Result of applying one rule to one expression.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RuleOutcome {
-    /// Newly created expressions (already inserted into the memo).
-    pub new_exprs: Vec<ExprId>,
+    /// Number of new expressions created (and handed to the caller).
+    pub created: usize,
     /// Number of substitute expressions generated, including duplicates that
     /// the memo rejected. This is the "transformations attempted" count the
     /// stage budget limits.
     pub attempted: u64,
 }
 
-/// Apply `rule` to `expr_id`, inserting any new alternatives into the memo.
+/// Apply `rule` to `expr_id`, inserting any new alternatives into the memo
+/// and appending their ids, in creation order, to `new_exprs`.
 ///
 /// Transient rule-binding memory is charged and released around the
 /// application, as a production optimizer's rule bindings would be.
@@ -66,6 +66,7 @@ pub fn apply_rule(
     expr_id: ExprId,
     est: &CardinalityEstimator<'_>,
     mem: &mut CompilationMemory,
+    new_exprs: &mut impl Extend<ExprId>,
 ) -> RuleOutcome {
     // Mark applied regardless of outcome so the search never retries.
     {
@@ -77,51 +78,78 @@ pub fn apply_rule(
     }
 
     mem.charge(sizes::RULE_BINDING_BYTES);
-    let outcome = match rule {
-        Rule::JoinCommute => apply_commute(memo, expr_id, mem),
-        Rule::JoinAssociateLeft => apply_associate_left(memo, expr_id, est, mem),
+    let mut outcome = RuleOutcome::default();
+    let mut created = |id: ExprId| {
+        outcome.created += 1;
+        new_exprs.extend(Some(id));
     };
+    let attempted = match rule {
+        Rule::JoinCommute => apply_commute(memo, expr_id, mem, &mut created),
+        Rule::JoinAssociateLeft => apply_associate_left(memo, expr_id, est, mem, &mut created),
+    };
+    outcome.attempted = attempted;
     mem.release(sizes::RULE_BINDING_BYTES);
     outcome
 }
 
-/// True when the expression is an inner join with at least one equi-predicate.
-fn as_inner_join(memo: &Memo, expr_id: ExprId) -> Option<(Vec<JoinPredicate>, GroupId, GroupId)> {
+/// The predicates and children of an inner join with at least one
+/// equi-predicate.
+fn as_inner_join(memo: &Memo, expr_id: ExprId) -> Option<(PredsId, GroupId, GroupId)> {
     let expr = memo.expr(expr_id);
-    match &expr.op {
-        LogicalOp::Join {
+    match expr.op {
+        MemoOp::Join {
             kind: JoinKind::Inner,
-            predicates,
-        } if !predicates.is_empty() => {
-            Some((predicates.clone(), expr.children[0], expr.children[1]))
-        }
+            preds,
+        } if !memo.preds(preds).is_empty() => Some((preds, expr.children()[0], expr.children()[1])),
         _ => None,
     }
 }
 
-fn apply_commute(memo: &mut Memo, expr_id: ExprId, mem: &mut CompilationMemory) -> RuleOutcome {
-    let mut outcome = RuleOutcome::default();
-    let Some((predicates, left, right)) = as_inner_join(memo, expr_id) else {
-        return outcome;
+/// An inner join over `preds`.
+fn inner_join(preds: PredsId) -> MemoOp {
+    MemoOp::Join {
+        kind: JoinKind::Inner,
+        preds,
+    }
+}
+
+fn apply_commute(
+    memo: &mut Memo,
+    expr_id: ExprId,
+    mem: &mut CompilationMemory,
+    created: &mut impl FnMut(ExprId),
+) -> u64 {
+    let Some((preds, left, right)) = as_inner_join(memo, expr_id) else {
+        return 0;
     };
     let group = memo.expr(expr_id).group;
-    let flipped: Vec<JoinPredicate> = predicates.iter().map(JoinPredicate::flipped).collect();
-    outcome.attempted += 1;
-    if let Some(new_expr) = memo.add_expr_to_group(
-        group,
-        LogicalOp::Join {
-            kind: JoinKind::Inner,
-            predicates: flipped,
-        },
-        vec![right, left],
-        mem,
-    ) {
+    let flipped =
+        memo.intern_preds_with(|m, out| out.extend(m.preds(preds).iter().map(|p| p.flipped())));
+    if let Some(new_expr) = memo.add_expr_to_group(group, inner_join(flipped), &[right, left], mem)
+    {
         // The commuted form has, by construction, the same children swapped;
         // applying commute to it again would just regenerate the original.
         memo.expr_mut(new_expr).rules_applied |= Rule::JoinCommute.mask();
-        outcome.new_exprs.push(new_expr);
+        created(new_expr);
     }
-    outcome
+    1
+}
+
+/// Where a top predicate of `(A ⋈ B) ⋈ C` goes when re-associating to
+/// `A ⋈ (B ⋈ C)`: `Ok` into the new inner join `B ⋈ C` (oriented B-side
+/// left), `Err` kept at the new top join. `a` and `b` are binding sets.
+fn split(memo: &Memo, p: JoinPred, a: u64, b: u64) -> Result<JoinPred, JoinPred> {
+    // Top preds connect (A∪B) with C; the left column is on the A∪B side.
+    if memo.binding_mask(p.left) & b != 0 {
+        Ok(p)
+    } else if memo.binding_mask(p.left) & a != 0 {
+        Err(p)
+    } else if memo.binding_mask(p.right) & b != 0 {
+        // Orientation was flipped.
+        Ok(p.flipped())
+    } else {
+        Err(p)
+    }
 }
 
 fn apply_associate_left(
@@ -129,97 +157,95 @@ fn apply_associate_left(
     expr_id: ExprId,
     est: &CardinalityEstimator<'_>,
     mem: &mut CompilationMemory,
-) -> RuleOutcome {
-    let mut outcome = RuleOutcome::default();
+    created: &mut impl FnMut(ExprId),
+) -> u64 {
     let Some((top_preds, left_group, right_group)) = as_inner_join(memo, expr_id) else {
-        return outcome;
+        return 0;
     };
     let top_group = memo.expr(expr_id).group;
+    let mut attempted = 0;
 
     // For every inner-join expression (A ⋈ B) in the left child group,
-    // produce A ⋈ (B ⋈ C) where C is the right child.
-    let left_exprs: Vec<ExprId> = memo.group(left_group).exprs.clone();
-    for inner_id in left_exprs {
+    // produce A ⋈ (B ⋈ C) where C is the right child. Expressions the loop
+    // itself adds are not visited.
+    let left_len = memo.group(left_group).exprs.len();
+    for i in 0..left_len {
+        let inner_id = memo.group(left_group).exprs[i];
         let Some((inner_preds, a_group, b_group)) = as_inner_join(memo, inner_id) else {
             continue;
         };
-        let a_bindings = memo.group(a_group).bindings.clone();
-        let b_bindings = memo.group(b_group).bindings.clone();
+        let a = memo.group(a_group).bindings;
+        let b = memo.group(b_group).bindings;
 
-        // Split the top predicates: those touching B go into the new inner
-        // join (B ⋈ C); those touching only A stay at the new top join.
-        let mut bc_preds: Vec<JoinPredicate> = Vec::new();
-        let mut top_remaining: Vec<JoinPredicate> = Vec::new();
-        for p in &top_preds {
-            // Top preds connect (A∪B) with C; the left column is on the A∪B side.
-            let left_binding = &p.left.binding;
-            if b_bindings.contains(left_binding) {
-                bc_preds.push(p.clone());
-            } else if a_bindings.contains(left_binding) {
-                top_remaining.push(p.clone());
-            } else {
-                // Orientation was flipped; check the right side.
-                if b_bindings.contains(&p.right.binding) {
-                    bc_preds.push(p.flipped());
-                } else {
-                    top_remaining.push(p.clone());
-                }
-            }
-        }
+        // Top predicates touching B go into the new inner join (B ⋈ C).
+        let bc_preds = memo.intern_preds_with(|m, out| {
+            out.extend(
+                m.preds(top_preds)
+                    .iter()
+                    .filter_map(|p| split(m, *p, a, b).ok()),
+            )
+        });
         // Refuse to create a cross product for (B ⋈ C).
-        if bc_preds.is_empty() {
+        if memo.preds(bc_preds).is_empty() {
             continue;
         }
         // The new top join connects A with (B ⋈ C) through the old inner
         // predicates (A–B) plus any remaining top predicates (A–C).
-        let mut new_top_preds = inner_preds.clone();
-        new_top_preds.extend(top_remaining);
-        if new_top_preds.is_empty() {
-            continue;
-        }
+        let new_top_preds = memo.intern_preds_with(|m, out| {
+            out.extend_from_slice(m.preds(inner_preds));
+            out.extend(
+                m.preds(top_preds)
+                    .iter()
+                    .filter_map(|p| split(m, *p, a, b).err()),
+            );
+        });
 
-        outcome.attempted += 1;
+        attempted += 1;
         // Create (or find) the group for (B ⋈ C).
-        let (bc_group, bc_expr) = memo.insert_expr(
-            LogicalOp::Join {
-                kind: JoinKind::Inner,
-                predicates: bc_preds,
-            },
-            vec![b_group, right_group],
-            est,
-            mem,
-        );
+        let (bc_group, bc_expr) =
+            memo.insert_expr(inner_join(bc_preds), &[b_group, right_group], est, mem);
         if let Some(bc_expr) = bc_expr {
             // The intermediate join is itself a new expression that further
             // rules (commute, associate) must get a chance to expand.
-            outcome.new_exprs.push(bc_expr);
+            created(bc_expr);
         }
         // Add A ⋈ (B ⋈ C) as an alternative of the top group.
         if let Some(new_expr) = memo.add_expr_to_group(
             top_group,
-            LogicalOp::Join {
-                kind: JoinKind::Inner,
-                predicates: new_top_preds,
-            },
-            vec![a_group, bc_group],
+            inner_join(new_top_preds),
+            &[a_group, bc_group],
             mem,
         ) {
-            outcome.new_exprs.push(new_expr);
+            created(new_expr);
         }
     }
-    outcome
+    attempted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::binder::Binder;
-    use crate::logical::LogicalPlan;
+    use crate::logical::{LogicalOp, LogicalPlan};
     use throttledb_catalog::{tpch_schema, Catalog};
     use throttledb_sqlparse::parse;
 
     fn bind(catalog: &Catalog, sql: &str) -> LogicalPlan {
         Binder::new(catalog).bind(&parse(sql).unwrap()).unwrap()
+    }
+
+    /// Apply one rule, returning the new expressions.
+    fn apply(
+        rule: Rule,
+        memo: &mut Memo,
+        expr: ExprId,
+        est: &CardinalityEstimator<'_>,
+        mem: &mut CompilationMemory,
+    ) -> Vec<ExprId> {
+        let mut new_exprs = Vec::new();
+        let outcome = apply_rule(rule, memo, expr, est, mem, &mut new_exprs);
+        assert_eq!(outcome.created, new_exprs.len());
+        new_exprs
     }
 
     /// Find the topmost join group in a freshly inserted plan.
@@ -240,18 +266,18 @@ mod tests {
             &cat,
             "SELECT o.o_orderkey FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey",
         );
-        memo.insert_plan(&plan, &est, &mut mem);
+        memo.insert_plan(&plan, &est, &mut mem).unwrap();
         let join = top_join_expr(&memo);
         let group = memo.expr(join).group;
         let before = memo.group(group).exprs.len();
-        let out = apply_rule(Rule::JoinCommute, &mut memo, join, &est, &mut mem);
-        assert_eq!(out.new_exprs.len(), 1);
+        let out = apply(Rule::JoinCommute, &mut memo, join, &est, &mut mem);
+        assert_eq!(out.len(), 1);
         assert_eq!(memo.group(group).exprs.len(), before + 1);
         // Children are swapped in the new expression.
-        let new = memo.expr(out.new_exprs[0]);
+        let new = memo.expr(out[0]);
         let old = memo.expr(join);
-        assert_eq!(new.children[0], old.children[1]);
-        assert_eq!(new.children[1], old.children[0]);
+        assert_eq!(new.children()[0], old.children()[1]);
+        assert_eq!(new.children()[1], old.children()[0]);
     }
 
     #[test]
@@ -264,21 +290,15 @@ mod tests {
             &cat,
             "SELECT o.o_orderkey FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey",
         );
-        memo.insert_plan(&plan, &est, &mut mem);
+        memo.insert_plan(&plan, &est, &mut mem).unwrap();
         let join = top_join_expr(&memo);
-        let first = apply_rule(Rule::JoinCommute, &mut memo, join, &est, &mut mem);
-        let second = apply_rule(Rule::JoinCommute, &mut memo, join, &est, &mut mem);
-        assert_eq!(first.new_exprs.len(), 1);
-        assert!(second.new_exprs.is_empty());
+        let first = apply(Rule::JoinCommute, &mut memo, join, &est, &mut mem);
+        let second = apply(Rule::JoinCommute, &mut memo, join, &est, &mut mem);
+        assert_eq!(first.len(), 1);
+        assert!(second.is_empty());
         // And the commuted expression never regenerates the original.
-        let third = apply_rule(
-            Rule::JoinCommute,
-            &mut memo,
-            first.new_exprs[0],
-            &est,
-            &mut mem,
-        );
-        assert!(third.new_exprs.is_empty());
+        let third = apply(Rule::JoinCommute, &mut memo, first[0], &est, &mut mem);
+        assert!(third.is_empty());
     }
 
     #[test]
@@ -288,13 +308,16 @@ mod tests {
         let mut mem = CompilationMemory::unlimited();
         let mut memo = Memo::new();
         let plan = bind(&cat, "SELECT o_orderkey FROM orders");
-        memo.insert_plan(&plan, &est, &mut mem);
+        memo.insert_plan(&plan, &est, &mut mem).unwrap();
         let get = memo
             .expr_ids()
-            .find(|e| matches!(memo.expr(*e).op, LogicalOp::Get { .. }))
+            .find(|e| {
+                matches!(memo.expr(*e).op, MemoOp::Base(op)
+                    if matches!(memo.base_op(op), LogicalOp::Get { .. }))
+            })
             .unwrap();
-        let out = apply_rule(Rule::JoinCommute, &mut memo, get, &est, &mut mem);
-        assert!(out.new_exprs.is_empty());
+        let out = apply(Rule::JoinCommute, &mut memo, get, &est, &mut mem);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -311,13 +334,13 @@ mod tests {
              JOIN orders o ON l.l_orderkey = o.o_orderkey \
              JOIN customer c ON o.o_custkey = c.c_custkey",
         );
-        memo.insert_plan(&plan, &est, &mut mem);
+        memo.insert_plan(&plan, &est, &mut mem).unwrap();
         let top = top_join_expr(&memo);
         let groups_before = memo.group_count();
-        let out = apply_rule(Rule::JoinAssociateLeft, &mut memo, top, &est, &mut mem);
+        let out = apply(Rule::JoinAssociateLeft, &mut memo, top, &est, &mut mem);
         // Two new expressions: the intermediate (orders ⋈ customer) join and
         // the re-associated alternative in the top group.
-        assert_eq!(out.new_exprs.len(), 2);
+        assert_eq!(out.len(), 2);
         assert_eq!(
             memo.group_count(),
             groups_before + 1,
@@ -325,15 +348,9 @@ mod tests {
         );
         // The re-associated alternative lives in the same group as the original top join.
         let top_group = memo.expr(top).group;
-        assert!(out
-            .new_exprs
-            .iter()
-            .any(|e| memo.expr(*e).group == top_group));
+        assert!(out.iter().any(|e| memo.expr(*e).group == top_group));
         // The intermediate join lives in its own (new) group.
-        assert!(out
-            .new_exprs
-            .iter()
-            .any(|e| memo.expr(*e).group != top_group));
+        assert!(out.iter().any(|e| memo.expr(*e).group != top_group));
     }
 
     #[test]
@@ -352,13 +369,13 @@ mod tests {
              JOIN orders o ON c.c_custkey = o.o_custkey \
              JOIN nation n ON c.c_nationkey = n.n_nationkey",
         );
-        memo.insert_plan(&plan, &est, &mut mem);
+        memo.insert_plan(&plan, &est, &mut mem).unwrap();
         let top = top_join_expr(&memo);
         let groups_before = memo.group_count();
-        let out = apply_rule(Rule::JoinAssociateLeft, &mut memo, top, &est, &mut mem);
+        let out = apply(Rule::JoinAssociateLeft, &mut memo, top, &est, &mut mem);
         // The only association would build (orders ⋈ nation) with no
         // predicate — a cross product — so nothing should be generated.
-        assert!(out.new_exprs.is_empty());
+        assert!(out.is_empty());
         assert_eq!(memo.group_count(), groups_before);
     }
 
@@ -379,10 +396,10 @@ mod tests {
             &cat,
             "SELECT o.o_orderkey FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey",
         );
-        memo.insert_plan(&plan, &est, &mut mem);
+        memo.insert_plan(&plan, &est, &mut mem).unwrap();
         let before_used = mem.used_bytes();
         let join = top_join_expr(&memo);
-        apply_rule(Rule::JoinCommute, &mut memo, join, &est, &mut mem);
+        apply(Rule::JoinCommute, &mut memo, join, &est, &mut mem);
         // Live memory grew only by the new expression, not the binding scratch.
         assert_eq!(mem.used_bytes(), before_used + sizes::LOGICAL_EXPR_BYTES);
         // But the peak saw the transient binding.

@@ -114,7 +114,13 @@ impl<'a> Optimizer<'a> {
         // Seed the memo with the initial plan and cost it, so a best-effort
         // plan exists from the earliest possible moment.
         let mut memo = Memo::new();
-        let root = memo.insert_plan(&initial_plan, &estimator, &mut mem);
+        let root = match memo.insert_plan(&initial_plan, &estimator, &mut mem) {
+            Ok(root) => root,
+            Err(e) => {
+                mem.finish();
+                return Err(e);
+            }
+        };
         let ctx = ImplementationContext {
             catalog: self.catalog,
             estimator,
@@ -145,13 +151,9 @@ impl<'a> Optimizer<'a> {
                     if transformations >= budget.transformation_limit {
                         break 'explore;
                     }
-                    let outcome = apply_rule(rule, &mut memo, expr_id, &estimator, &mut mem);
-                    transformations += outcome
-                        .attempted
-                        .max(u64::from(!outcome.new_exprs.is_empty()));
-                    for new_expr in outcome.new_exprs {
-                        queue.push_back(new_expr);
-                    }
+                    let outcome =
+                        apply_rule(rule, &mut memo, expr_id, &estimator, &mut mem, &mut queue);
+                    transformations += outcome.attempted.max(u64::from(outcome.created > 0));
                     match mem.pending_directive() {
                         GovernorDirective::Continue => {}
                         GovernorDirective::FinishWithBestPlan => {
@@ -175,7 +177,8 @@ impl<'a> Optimizer<'a> {
         // Final costing pass over everything explored.
         memo.clear_winners();
         optimize_group(&mut memo, root, &ctx, &mut mem);
-        let plan = extract_plan(&memo, root).ok_or(OptimizerError::NoPlanAvailable)?;
+        let plan =
+            extract_plan(&memo, root, self.catalog).ok_or(OptimizerError::NoPlanAvailable)?;
 
         let stats = CompileStats {
             peak_memory_bytes: mem.peak_bytes(),
@@ -419,6 +422,35 @@ mod tests {
             opt.optimize(&stmt),
             Err(OptimizerError::UnknownTable(_))
         ));
+    }
+
+    /// A self-join of `orders` chaining `n` bindings on the customer key.
+    fn self_join(n: usize) -> String {
+        let mut sql = String::from("SELECT COUNT(*) FROM orders t0");
+        for i in 1..n {
+            let prev = i - 1;
+            sql.push_str(&format!(
+                " JOIN orders t{i} ON t{prev}.o_custkey = t{i}.o_custkey"
+            ));
+        }
+        sql
+    }
+
+    #[test]
+    fn more_bindings_than_the_bitset_holds_is_unsupported() {
+        let cat = tpch_schema(1.0);
+        let stmt = parse(&self_join(65)).unwrap();
+        assert!(matches!(
+            Binder::new(&cat).bind(&stmt),
+            Err(OptimizerError::Unsupported(_))
+        ));
+        assert!(matches!(
+            Optimizer::new(&cat).optimize(&stmt),
+            Err(OptimizerError::Unsupported(_))
+        ));
+        // 64 bindings still fit.
+        let widest = Binder::new(&cat).bind(&parse(&self_join(64)).unwrap());
+        assert_eq!(widest.unwrap().table_count(), 64);
     }
 
     #[test]
