@@ -14,7 +14,6 @@
 
 use crate::error::OptimizerError;
 use crate::logical::{ColumnRef, JoinPredicate, LogicalOp, LogicalPlan, Predicate};
-use crate::memo::MAX_BINDINGS;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -55,12 +54,6 @@ impl<'a> Binder<'a> {
         }
         if bindings.is_empty() {
             return Err(OptimizerError::Unsupported("query without FROM".into()));
-        }
-        if bindings.len() > MAX_BINDINGS {
-            return Err(OptimizerError::Unsupported(format!(
-                "{} table bindings; a query may bind at most {MAX_BINDINGS}",
-                bindings.len()
-            )));
         }
 
         // 2. Gather all conjuncts: WHERE plus every JOIN ON clause.

@@ -7,10 +7,9 @@ use throttledb_catalog::Catalog;
 /// model divides by them.
 const MIN_ROWS: f64 = 1.0;
 
-/// Output rows of a join given child cardinalities and, per equi-join
-/// predicate, the distinct-value counts of its two columns: the classic
-/// `|L|·|R| / max(ndv(l), ndv(r))` per predicate, a cross product with none.
-pub fn join_rows_by_ndv(
+/// [`CardinalityEstimator::join_rows`] given, per equi-join predicate, the
+/// distinct-value counts of its two columns.
+pub(crate) fn join_rows_by_ndv(
     left_rows: f64,
     right_rows: f64,
     predicate_ndvs: impl IntoIterator<Item = (f64, f64)>,
@@ -145,8 +144,10 @@ impl<'a> CardinalityEstimator<'a> {
         rows.max(MIN_ROWS)
     }
 
-    /// Output rows of a join given child cardinalities (see
-    /// [`join_rows_by_ndv`]).
+    /// Output rows of a join given child cardinalities.
+    ///
+    /// Per equi-join predicate the classic `|L|·|R| / max(ndv(l), ndv(r))`
+    /// formula; with no predicate it is a cross product.
     pub fn join_rows(&self, left_rows: f64, right_rows: f64, predicates: &[JoinPredicate]) -> f64 {
         let ndvs = predicates.iter().map(|p| {
             (

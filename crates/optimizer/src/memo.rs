@@ -28,7 +28,7 @@ use throttledb_sqlparse::JoinKind;
 
 /// Most distinct query bindings one compilation supports: a group's
 /// bindings are a `u64` bitset.
-pub(crate) const MAX_BINDINGS: usize = 64;
+const MAX_BINDINGS: usize = 64;
 
 /// Identifies a memo group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -182,9 +182,6 @@ impl WordHasher {
 impl Hasher for WordHasher {
     fn write(&mut self, bytes: &[u8]) {
         bytes.iter().for_each(|b| self.add(u64::from(*b)));
-    }
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
     }
     fn write_u32(&mut self, n: u32) {
         self.add(u64::from(n));
