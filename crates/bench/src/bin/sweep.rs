@@ -57,6 +57,13 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// `count` per host second of a cell that took `wall_ms`: the stdout
+/// tables show admitted and shed arrivals per second beside events/s, so
+/// a shed-dominated cell cannot pass its event rate off as throughput.
+fn per_sec(count: u64, wall_ms: f64) -> f64 {
+    count as f64 / (wall_ms / 1e3).max(1e-9)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scenarios = vec!["compile_storm".to_string()];
@@ -179,18 +186,20 @@ fn main() -> ExitCode {
         );
         let outcome = run_shard_scale(&spec);
         println!(
-            "{:<22} {:>6} {:>7} {:>12} {:>9} {:>12}",
-            "scenario", "seed", "shards", "events", "wall-ms", "events/s"
+            "{:<22} {:>6} {:>7} {:>12} {:>9} {:>12} {:>11} {:>12}",
+            "scenario", "seed", "shards", "events", "wall-ms", "events/s", "admitted/s", "shed/s"
         );
         for c in &outcome.cells {
             println!(
-                "{:<22} {:>6} {:>7} {:>12} {:>9.0} {:>12.0}",
+                "{:<22} {:>6} {:>7} {:>12} {:>9.0} {:>12.0} {:>11.0} {:>12.0}",
                 c.cell.scenario,
                 c.cell.seed,
                 c.shards,
                 c.cell.events_dispatched,
                 c.timing.wall_ms,
-                c.timing.events_per_sec
+                c.timing.events_per_sec,
+                per_sec(c.cell.arrivals_admitted, c.timing.wall_ms),
+                per_sec(c.cell.arrivals_shed, c.timing.wall_ms)
             );
         }
         for s in &outcome.speedups {
@@ -336,12 +345,22 @@ fn main() -> ExitCode {
     let outcome = run_sweep(&spec);
 
     println!(
-        "{:<22} {:>6} {:>7} {:>7} {:>6} {:>12} {:>10} {:>9} {:>12}",
-        "scenario", "seed", "subm", "done", "fail", "events", "peak-q", "wall-ms", "events/s"
+        "{:<22} {:>6} {:>7} {:>7} {:>6} {:>12} {:>10} {:>9} {:>12} {:>11} {:>12}",
+        "scenario",
+        "seed",
+        "subm",
+        "done",
+        "fail",
+        "events",
+        "peak-q",
+        "wall-ms",
+        "events/s",
+        "admitted/s",
+        "shed/s"
     );
     for (cell, timing) in outcome.cells.iter().zip(outcome.timings.iter()) {
         println!(
-            "{:<22} {:>6} {:>7} {:>7} {:>6} {:>12} {:>10} {:>9.0} {:>12.0}",
+            "{:<22} {:>6} {:>7} {:>7} {:>6} {:>12} {:>10} {:>9.0} {:>12.0} {:>11.0} {:>12.0}",
             cell.scenario,
             cell.seed,
             cell.submitted,
@@ -350,7 +369,9 @@ fn main() -> ExitCode {
             cell.events_dispatched,
             cell.peak_queue_depth,
             timing.wall_ms,
-            timing.events_per_sec
+            timing.events_per_sec,
+            per_sec(cell.arrivals_admitted, timing.wall_ms),
+            per_sec(cell.arrivals_shed, timing.wall_ms)
         );
     }
     println!(

@@ -15,8 +15,9 @@ use throttledb_workload::ClientModel;
 /// single sweep cell push tens of millions of arrivals through admission.
 /// Arrivals beyond [`ArrivalSourceConfig::max_in_flight`] concurrent
 /// queries are shed at the door — before any query content is sampled — so
-/// an overloaded source stays cheap: one event and one digest fold per
-/// rejected arrival.
+/// an overloaded source stays cheap: one gap sample and one digest fold per
+/// rejected arrival, with no queue traffic while a run of sheds precedes
+/// every other pending event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArrivalSourceConfig {
     /// Source name ("web", "api", "batch", ...), used in per-source metrics.

@@ -74,8 +74,9 @@ enum ShardStep {
 
 /// One arrival decision's contribution to the streaming FNV-1a arrival
 /// digest: 8 time bytes, 4 source bytes, 1 decision byte, little-endian.
-/// A free function so the bulk-shed loop can fold into a register-held
-/// accumulator without round-tripping through `self` per arrival.
+/// A free function so the shed loops (`on_arrival`'s skip and the sharded
+/// `drain_shed`) can fold into a register-held accumulator without
+/// round-tripping through `self` per arrival.
 #[inline]
 fn fold_arrival_digest(mut h: u64, at_us: u64, source: u32, code: u8) -> u64 {
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -441,13 +442,14 @@ impl Server {
         }
         while let Some(ev) = self.queue.pop_before(until) {
             self.now = ev.at;
-            self.dispatch(ev.payload);
+            self.dispatch(ev.payload, until);
         }
         self.now = self.now.max(until);
     }
 
-    /// Route one popped event to its handler.
-    fn dispatch(&mut self, event: Event) {
+    /// Route one popped event to its handler; `until` is the bound of the
+    /// `run_until` window being processed.
+    fn dispatch(&mut self, event: Event, until: SimTime) {
         match event {
             Event::Submit { client } => self.on_submit(client),
             Event::CohortSubmit {
@@ -455,7 +457,7 @@ impl Server {
                 attempts,
                 first_at,
             } => self.on_cohort_submit(client, attempts, first_at),
-            Event::Arrival { source } => self.on_arrival(source),
+            Event::Arrival { source } => self.on_arrival(source, until),
             Event::CompileStep { query } => self.on_compile_step(query),
             Event::CompileTimeout { query, level } => self.on_compile_timeout(query, level),
             Event::GrantTimeout { query } => self.on_grant_timeout(query),
@@ -481,7 +483,7 @@ impl Server {
                 ShardStep::Wheel => {
                     let ev = self.queue.pop().expect("peeked wheel event pops");
                     self.now = ev.at;
-                    self.dispatch(ev.payload);
+                    self.dispatch(ev.payload, until);
                 }
                 ShardStep::Source(source) => {
                     let s = source as usize;
@@ -762,17 +764,42 @@ impl Server {
     /// One open-loop arrival: decide admission, fold the decision into the
     /// streaming digest, and sample the source's next arrival.
     ///
-    /// Order matters for cost: the concurrency cap is checked *before* any
-    /// query content is drawn, so an overloaded source sheds at one cheap
-    /// event (~a digest fold) per arrival instead of paying template
-    /// selection and uniquification for work it then discards.
-    fn on_arrival(&mut self, source: u32) {
+    /// The concurrency cap is checked *before* any query content is drawn,
+    /// so a shed costs a digest fold and one gap sample. While the source
+    /// stays at its cap, every arrival it samples strictly before the queue
+    /// head, `until` and the run's end would pop straight back off the
+    /// queue as another shed, since nothing else fires in between to free
+    /// a slot. Those sheds are dispatched here in one tight loop, and the
+    /// queue records their schedule/pop round trips in one call, so
+    /// sequence numbers, `events_dispatched` and the peak depth match the
+    /// one-event-per-arrival schedule exactly. The first arrival outside
+    /// the bound is scheduled normally.
+    fn on_arrival(&mut self, source: u32, until: SimTime) {
         self.arrival_decision(source);
         let end = SimTime::ZERO + self.config.duration;
         let s = source as usize;
         let src = &mut self.sources[s];
-        let gap = src.sampler.next_gap(&mut src.rng, self.now);
-        let at = self.now + gap;
+        let mut at = self.now + src.sampler.next_gap(&mut src.rng, self.now);
+        if src.in_flight >= self.config.arrivals[s].max_in_flight {
+            let mut bound = until.min(end);
+            if let Some(head) = self.queue.peek_time() {
+                bound = bound.min(head);
+            }
+            let mut digest = self.arrival_digest;
+            let mut skipped = 0u64;
+            let mut last = self.now;
+            while at < bound {
+                digest = fold_arrival_digest(digest, at.as_micros(), source, 1);
+                skipped += 1;
+                last = at;
+                at = at + src.sampler.next_gap(&mut src.rng, at);
+            }
+            src.arrivals += skipped;
+            src.shed += skipped;
+            self.arrival_digest = digest;
+            self.now = last;
+            self.queue.skip_round_trips(skipped, last);
+        }
         if at < end {
             self.queue.schedule(at, Event::Arrival { source });
         }
@@ -1638,6 +1665,129 @@ mod tests {
             metrics.events_dispatched,
             metrics.arrivals
         );
+    }
+
+    /// A capped Poisson source far past its cap: almost every arrival is
+    /// a shed the skip can take.
+    fn capped_config() -> ServerConfig {
+        let mut cfg = ServerConfig::quick(0, true);
+        cfg.arrivals = vec![poisson_source(20.0, 0, 2)];
+        cfg
+    }
+
+    /// The figures a dispatch-schedule change could move.
+    fn schedule_fingerprint(m: &RunMetrics) -> [u64; 7] {
+        [
+            m.arrival_digest,
+            m.arrivals,
+            m.arrivals_admitted,
+            m.arrivals_shed,
+            m.events_dispatched,
+            m.peak_queue_depth as u64,
+            m.completed.total(),
+        ]
+    }
+
+    /// Drive `server` to `until` one event time at a time: each window
+    /// ends 1 µs past the queue head, so the shed-run skip covers at most
+    /// the head's own microsecond and every other arrival makes its own
+    /// queue round trip.
+    fn run_event_by_event(server: &mut Server, until: SimTime) {
+        while let Some(head) = server.queue.peek_time().filter(|&h| h < until) {
+            server.run_until((head + SimDuration::from_micros(1)).min(until));
+        }
+        server.run_until(until);
+    }
+
+    #[test]
+    fn shed_run_skip_matches_windowed_and_event_by_event_runs() {
+        let profiles = profiles();
+        let cfg = capped_config();
+        let end = SimTime::ZERO + cfg.duration;
+        let started = || {
+            let mut server = Server::new(cfg.clone(), profiles.clone());
+            server.set_active_clients(cfg.clients);
+            server.begin();
+            server
+        };
+        let whole = Server::new(cfg.clone(), profiles.clone()).run();
+        // ≈1.3 s windows, off every tick grid the engine uses.
+        let mut windowed = started();
+        let mut t = SimTime::ZERO;
+        while t < end {
+            t = (t + SimDuration::from_micros(1_337_113)).min(end);
+            windowed.run_until(t);
+        }
+        let mut stepped = started();
+        run_event_by_event(&mut stepped, end);
+        assert!(
+            whole.arrivals_shed > whole.arrivals_admitted * 10,
+            "cap never engaged: {} shed vs {} admitted",
+            whole.arrivals_shed,
+            whole.arrivals_admitted
+        );
+        let expected = schedule_fingerprint(&whole);
+        assert_eq!(schedule_fingerprint(&windowed.finish()), expected);
+        assert_eq!(schedule_fingerprint(&stepped.finish()), expected);
+    }
+
+    #[test]
+    fn shed_run_stops_at_a_tied_queue_head_and_at_the_window_boundary() {
+        let profiles = profiles();
+        let cfg = capped_config();
+        let end = SimTime::ZERO + cfg.duration;
+        for tie_with_head in [true, false] {
+            let mut server = Server::new(cfg.clone(), profiles.clone());
+            server.begin();
+            // Step event by event to an at-cap arrival `a0` whose next two
+            // successors `a` both precede every other queued event; pop it
+            // undispatched. Its successors are predicted from clones of the
+            // source's RNG stream and sampler (a shed draws nothing else).
+            let (a0, a) = loop {
+                let ev = server.queue.pop().expect("the run has events left");
+                server.now = ev.at;
+                let next = ev.at + SimDuration::from_micros(1);
+                let at_cap = server.sources[0].in_flight >= cfg.arrivals[0].max_in_flight;
+                if matches!(ev.payload, Event::Arrival { .. }) && at_cap {
+                    let src = &server.sources[0];
+                    let (mut rng, mut sampler) = (src.rng.clone(), src.sampler.clone());
+                    let mut at = ev.at;
+                    let a: Vec<SimTime> = (0..2)
+                        .map(|_| {
+                            at = at + sampler.next_gap(&mut rng, at);
+                            at
+                        })
+                        .collect();
+                    if server.queue.peek_time().map_or(true, |head| a[1] < head) {
+                        break (ev.at, a);
+                    }
+                }
+                server.dispatch(ev.payload, next);
+            };
+            let (arrivals, dispatched) = (server.sources[0].arrivals, server.queue.dispatched());
+            let tie = tie_with_head.then(|| server.queue.schedule(a[1], Event::BrokerTick));
+            let until = if tie_with_head { end } else { a[1] };
+            server.now = a0;
+            server.dispatch(Event::Arrival { source: 0 }, until);
+            // `a0` and `a[0]` were dispatched, `a[0]` without the queue;
+            // `a[1]` ties the bound, so it was scheduled instead.
+            assert_eq!(server.sources[0].arrivals, arrivals + 2);
+            assert_eq!(server.queue.dispatched(), dispatched + 1);
+            assert_eq!(server.now, a[0]);
+            if let Some(tie) = tie {
+                // The head was scheduled first, so its lower seq fires first.
+                let head = server.queue.pop().expect("the tied head is queued");
+                assert_eq!((head.at, head.seq), (a[1], tie.seq()));
+                assert!(matches!(head.payload, Event::BrokerTick));
+            }
+            let next = server.queue.pop().expect("the tied arrival is queued");
+            assert_eq!(next.at, a[1]);
+            assert!(matches!(next.payload, Event::Arrival { source: 0 }));
+            if let Some(tie) = tie {
+                // `a[0]`'s skipped round trip consumed `tie.seq() + 1`.
+                assert_eq!(next.seq, tie.seq() + 2);
+            }
+        }
     }
 
     #[test]

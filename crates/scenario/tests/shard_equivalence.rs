@@ -9,11 +9,16 @@
 //! digest and every determinism-bearing counter must be byte-identical
 //! across the three runs.
 //!
-//! This is the tentpole's contract stated as a property: the shard count
-//! is a wall-clock knob, never a semantics knob. The single-threaded run
-//! is the oracle; any divergence in event ordering, sequence-number
-//! assignment, RNG stream consumption or shed accounting shows up as a
-//! trace or digest mismatch here before it could reach a golden file.
+//! This is the sharding contract stated as a property: the shard count
+//! is a wall-clock knob, never a semantics knob. It is also a differential
+//! between two independent shed fast paths: the single-threaded run sheds
+//! at-cap bursts through `Server::on_arrival`'s shed-run skip (sample
+//! forward up to the queue head, account the skipped queue round trips in
+//! one call), while the sharded runs drain them from precomputed arrival
+//! buffers against a merge bound. Any divergence in event ordering,
+//! sequence-number assignment, RNG stream consumption or shed accounting
+//! between the two shows up as a trace or digest mismatch here before it
+//! could reach a golden file.
 
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -45,7 +50,7 @@ fn profiles() -> Arc<WorkloadProfiles> {
 /// Decode one arrival-source knob tuple into a source config. The knobs
 /// span all four arrival-process families at rates that keep a case fast
 /// while still crossing the concurrency cap (small `max_in_flight` forces
-/// shed traffic through the sharded bulk-shed path).
+/// shed traffic through both shed fast paths).
 fn source(index: usize, kind: u8, rate: u32, cap: u32) -> ArrivalSourceConfig {
     let process = match kind {
         0 => ArrivalProcess::Poisson {

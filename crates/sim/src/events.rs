@@ -31,13 +31,14 @@
 //! fraction of the parked set. The heap thus stays well below the
 //! pending-set size and each event pays only a constant number of scan
 //! touches — both bulk fills and closed-loop churn beat the reference
-//! heap, whose every push and pop sifts across the full population. The queue migrates one way onto the wheel the first time the
-//! pending set exceeds `SMALL_LIMIT` events. Pop order is identical in
+//! heap, whose every push and pop sifts across the full population. The
+//! queue migrates one way onto the wheel the first time the pending set
+//! exceeds `SMALL_LIMIT` events. Pop order is identical in
 //! both modes and across the migration, so determinism is unaffected.
 //! `BENCH_event_queue.json` records the result: ≥1× at heap-friendly
-//! depths, 2–4× and growing at the 100k–1M pending events the ROADMAP's
-//! millions-of-clients north star implies, where the heap's `O(log n)`
-//! cache-missing sifts dominate.
+//! depths and 2–4× at 100k–1M pending events, where the heap's
+//! `O(log n)` cache-missing sifts dominate. The built-in scenarios peak
+//! below 1k pending events, so the engine's queue stays in small mode.
 
 use crate::arena::Arena;
 use crate::clock::SimTime;
@@ -373,6 +374,28 @@ impl<E> EventQueue<E> {
         self.dispatched += popped;
         self.last_popped = self.last_popped.max(at);
         self.next_seq += reserved;
+    }
+
+    /// Record `count` events that the caller dispatched without queueing,
+    /// each of which [`EventQueue::schedule`] would have queued and
+    /// [`EventQueue::pop`] handed straight back because it fell strictly
+    /// before the head. The last of them fired at `at`. Sequence numbers,
+    /// the dispatch counter, the pop frontier and the peak depth (one
+    /// pending event above the current set) advance exactly as those
+    /// `count` round trips would have moved them.
+    pub fn skip_round_trips(&mut self, count: u64, at: SimTime) {
+        if count == 0 {
+            return;
+        }
+        debug_assert!(at >= self.last_popped, "skipped event fired in the past");
+        debug_assert!(
+            self.peek_time().map_or(true, |head| at < head),
+            "skipped event would not have popped before the head"
+        );
+        self.next_seq += count;
+        self.dispatched += count;
+        self.last_popped = at;
+        self.peak_live = self.peak_live.max(self.live + self.external + 1);
     }
 
     /// `(time, seq)` of the next *internal* event, if any — the key an
@@ -1491,6 +1514,61 @@ mod tests {
                     (w, h) => prop_assert!(false, "length mismatch: {w:?} vs {h:?}"),
                 }
             }
+        }
+
+        /// `skip_round_trips(n, at)` must leave a queue exactly as `n`
+        /// schedule + pop pairs of head-preceding events do: the same next
+        /// sequence number, dispatch count, peak depth and subsequent pop
+        /// order, in small mode and on the wheel (past `SMALL_LIMIT`).
+        #[test]
+        fn prop_skip_round_trips_match_real_round_trips(
+            times in proptest::collection::vec(0u64..200_000_000, 1..300),
+            wheel in 0usize..2,
+            popped in 0usize..50,
+            skips in 1u64..40,
+        ) {
+            let mut real = EventQueue::new();
+            let mut twin = EventQueue::new();
+            // Wheel mode: pad the pending set past the small-mode limit
+            // with events behind everything else.
+            let pad = if wheel == 1 { SMALL_LIMIT as u64 + 1 } else { 0 };
+            let pending = times.iter().copied().chain((0..pad).map(|k| 300_000_000 + 7 * k));
+            for (i, t) in pending.enumerate() {
+                real.schedule(SimTime::from_micros(t), i);
+                twin.schedule(SimTime::from_micros(t), i);
+            }
+            prop_assert_eq!(real.small, wheel == 0);
+            for _ in 0..popped.min(times.len() - 1) {
+                prop_assert_eq!(real.pop().map(|e| e.seq), twin.pop().map(|e| e.seq));
+            }
+            let frontier = real.last_popped.as_micros();
+            let head = real.peek_time().expect("one event stays pending").as_micros();
+            // `skips` fire times in [frontier, head): each pops straight back.
+            let n = if head > frontier { skips } else { 0 };
+            let mut last = SimTime::from_micros(frontier);
+            for k in 0..n {
+                last = SimTime::from_micros(frontier + (head - frontier) * k / n);
+                real.schedule(last, usize::MAX);
+                let e = real.pop().expect("the skipped event pops");
+                prop_assert_eq!((e.at, e.payload), (last, usize::MAX));
+            }
+            twin.skip_round_trips(n, last);
+            prop_assert_eq!(real.peek_seq(), twin.peek_seq());
+            prop_assert_eq!(real.dispatched(), twin.dispatched());
+            prop_assert_eq!(real.peak_len(), twin.peak_len());
+            // A newcomer tied with the head must still queue behind it.
+            real.schedule(SimTime::from_micros(head), usize::MAX - 1);
+            twin.schedule(SimTime::from_micros(head), usize::MAX - 1);
+            loop {
+                match (real.pop(), twin.pop()) {
+                    (Some(r), Some(t)) => {
+                        prop_assert_eq!((r.at, r.seq, r.payload), (t.at, t.seq, t.payload));
+                    }
+                    (None, None) => break,
+                    (r, t) => prop_assert!(false, "length mismatch: {r:?} vs {t:?}"),
+                }
+            }
+            prop_assert_eq!(real.peak_len(), twin.peak_len());
         }
 
         /// The satellite regression: interleave push / pop / pop_before /
