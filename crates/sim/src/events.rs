@@ -33,8 +33,8 @@
 //! touches — both bulk fills and closed-loop churn beat the reference
 //! heap, whose every push and pop sifts across the full population. The
 //! queue migrates one way onto the wheel the first time the pending set
-//! exceeds `SMALL_LIMIT` events. Pop order is identical in
-//! both modes and across the migration, so determinism is unaffected.
+//! exceeds `SMALL_LIMIT` events. Pop order is identical in both modes and
+//! across the migration, so determinism is unaffected.
 //! `BENCH_event_queue.json` records the result: ≥1× at heap-friendly
 //! depths and 2–4× at 100k–1M pending events, where the heap's
 //! `O(log n)` cache-missing sifts dominate. The built-in scenarios peak
