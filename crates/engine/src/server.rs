@@ -89,21 +89,15 @@ fn fold_arrival_digest(mut h: u64, at_us: u64, source: u32, code: u8) -> u64 {
     (h ^ code as u64).wrapping_mul(FNV_PRIME)
 }
 
-/// Plan-cache key: a compact, copyable stand-in for the query text the
-/// paper's text-keyed cache would hash.
+/// Plan-cache key: the (template, submission) pair that produced a plan.
 ///
-/// Lookups key on the FNV-1a digest of the submission's uniquified SQL;
-/// insertions key on the (template, submission) pair that produced the
-/// plan. The two variants can never collide, preserving the workload's
-/// designed-in property that the uniquifier defeats the cache — while the
-/// hot path stops cloning SQL strings entirely.
+/// The paper's cache is keyed on query text, and the §5.1 uniquifier makes
+/// every submission's text unique, so a lookup could never hit. The engine
+/// therefore draws the perturbations without rendering the text and never
+/// looks the cache up; it only inserts compiled plans, keeping the cache
+/// the memory consumer the broker squeezes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum PlanKey {
-    /// Digest of a submission's uniquified text (lookup side).
-    Text(u64),
-    /// A compiled plan's identity (insert side).
-    Compiled(TemplateId, u64),
-}
+pub(crate) struct PlanKey(pub TemplateId, pub u64);
 
 /// Runtime state of one open-loop arrival source.
 ///

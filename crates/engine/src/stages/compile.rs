@@ -30,19 +30,21 @@ impl Server {
         self.submit_query(QueryOrigin::Client { client });
     }
 
-    /// Submit one query from any origin: choose a template, uniquify its
-    /// text, and start (or skip, on a plan-cache hit) compilation. Returns
-    /// whether the query entered the pipeline (`false` = shed at the door).
+    /// Submit one query from any origin: choose a template, draw its §5.1
+    /// uniquifying perturbations, and start compilation. Returns whether
+    /// the query entered the pipeline (`false` = shed at the door).
     ///
     /// This is the allocation-free hot path: the template is chosen as an
     /// interned [`throttledb_workload::TemplateId`], its profile is a dense
-    /// vector lookup, and the uniquifier perturbs a cached parse and hands
-    /// back only the digest of the unique text — no SQL string is cloned or
-    /// built per submission (the RNG draws are identical to the allocating
-    /// path, so seeded runs are unchanged; see the workload crate's
-    /// equivalence tests). The draw sequence is origin-independent, which
-    /// is what makes a cohort-compressed run's trace byte-identical to the
-    /// same population materialized as individual clients.
+    /// vector lookup, and the uniquifier makes the perturbation draws from
+    /// a cached list of the template's literals without rendering any SQL.
+    /// Uniquified text defeats a text-keyed plan cache by construction, so
+    /// every submission compiles and the cache is never consulted with
+    /// text (the RNG draws are identical to the allocating path, so seeded
+    /// runs are unchanged; see the workload crate's equivalence test). The
+    /// draw sequence is origin-independent, which is what makes a
+    /// cohort-compressed run's trace byte-identical to the same population
+    /// materialized as individual clients.
     pub(crate) fn submit_query(&mut self, origin: QueryOrigin) -> bool {
         let class = match origin {
             QueryOrigin::Client { client } | QueryOrigin::Cohort { client, .. } => {
@@ -56,11 +58,10 @@ impl Server {
         let profile = self.profiles.profile_of(template).jittered(&mut self.rng);
         let id = self.next_query;
         self.next_query += 1;
-        let digest = self.uniquifier.uniquify_digest(
+        self.uniquifier.draw_perturbations(
             template,
             self.profiles.catalog().sql(template),
             &mut self.rng,
-            id,
         );
         self.trace_push(TraceEvent::Submitted {
             at: self.now,
@@ -89,31 +90,6 @@ impl Server {
                 self.reschedule_after_setback(origin);
             }
             return false;
-        }
-
-        // The uniquifier defeats the plan cache (as in the paper); text
-        // digests and compiled-plan keys live in disjoint `PlanKey`
-        // variants, so this lookup misses by construction — exactly the
-        // old text-keyed behaviour, without carrying the text.
-        if self.plan_cache.get(&PlanKey::Text(digest)).is_some() {
-            let query = Query {
-                origin,
-                class,
-                template,
-                profile,
-                task: self.classes[class].policy.begin(),
-                compile_step: self.config.compile_steps,
-                compile_bytes: 0,
-                lifecycle: QueryLifecycle::Compiling,
-                grant_id: None,
-                grant_requested: 0,
-            };
-            self.queries.insert(id, query);
-            // finish_compile releases the CPU slot the compile path would
-            // have taken; take it here so the accounting stays balanced.
-            self.running_cpu_tasks += 1;
-            self.finish_compile(id);
-            return true;
         }
 
         let task = self.classes[class].policy.begin();
@@ -250,10 +226,10 @@ impl Server {
         self.finish_policy_task(class, task);
         self.running_cpu_tasks = self.running_cpu_tasks.saturating_sub(1);
 
-        // Cache the plan (uniquified submissions mean this rarely helps —
-        // by design; the key is the copy-free (template, submission) pair).
+        // Cache the plan (uniquified submissions mean it is never reused —
+        // by design; it still holds memory the broker can squeeze).
         self.plan_cache.insert(
-            PlanKey::Compiled(template, id),
+            PlanKey(template, id),
             template,
             96 << 10,
             profile.compile_cpu_seconds,

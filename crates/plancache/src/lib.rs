@@ -53,9 +53,12 @@ pub struct PlanCacheStats {
 /// A size-bounded plan cache with cost-based eviction.
 ///
 /// Generic over the key type `K` (default `String`, the classic
-/// normalized-query-text key). The engine keys its cache with a compact
-/// 16-byte digest type instead, so the admission hot path never clones
-/// query text — see `throttledb-engine`'s `PlanKey`.
+/// normalized-query-text key). The engine keys its cache with the
+/// (template, submission) pair that produced each plan — see
+/// `throttledb-engine`'s `PlanKey`. It never looks plans up: its workload
+/// draws the §5.1 perturbations without rendering the text, and uniquified
+/// text defeats a text-keyed cache by construction, so the engine only
+/// inserts, and the cache stays a memory consumer the broker squeezes.
 #[derive(Debug)]
 pub struct PlanCache<P, K = String> {
     capacity_bytes: Mutex<u64>,
@@ -295,5 +298,45 @@ mod tests {
         assert_eq!(cache.used_bytes(), 3 * MB);
         assert_eq!(cache.get("q"), Some(2));
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Resident (key, hits, cost) entries, least recently touched first.
+    fn resident(cache: &PlanCache<u32, u64>) -> Vec<(u64, u64, f64)> {
+        let inner = cache.inner.lock();
+        let mut entries: Vec<_> = inner.entries.iter().collect();
+        entries.sort_by_key(|(_, e)| e.last_touch);
+        entries
+            .into_iter()
+            .map(|(k, e)| (*k, e.hits, e.recompile_cost))
+            .collect()
+    }
+
+    #[test]
+    fn missing_lookups_do_not_change_eviction() {
+        // Two caches see the same inserts and squeezes past capacity; one
+        // also sees lookups of never-inserted keys before every insert. A
+        // miss only advances the internal tick, which eviction reads by
+        // relative order alone, so both must hold the same entries in the
+        // same touch order after every step. With equal sizes each insert
+        // past capacity evicts exactly one key, so that also pins the
+        // eviction order.
+        let plain: PlanCache<u32, u64> = PlanCache::new(8 * MB, None);
+        let probed: PlanCache<u32, u64> = PlanCache::new(8 * MB, None);
+        for i in 0..200u64 {
+            // Few distinct costs, so many value ties fall to `last_touch`.
+            let cost = [1.0, 2.0, 1.0, 0.5, 2.0][(i % 5) as usize];
+            for _ in 0..=(i % 3) {
+                assert!(probed.get(&(u64::MAX - i)).is_none());
+            }
+            plain.insert(i, i as u32, MB, cost);
+            probed.insert(i, i as u32, MB, cost);
+            if i % 37 == 36 {
+                assert_eq!(plain.shrink_to(3 * MB), probed.shrink_to(3 * MB));
+            }
+            assert_eq!(resident(&plain), resident(&probed), "after insert {i}");
+            assert_eq!(plain.stats().evictions, probed.stats().evictions);
+        }
+        assert!(plain.stats().evictions > 150, "must evict past capacity");
+        assert!(probed.stats().misses >= 200);
     }
 }

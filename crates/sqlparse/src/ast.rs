@@ -398,10 +398,10 @@ impl SelectStatement {
     /// HAVING, ORDER BY (and depth-first within each expression).
     ///
     /// The workload uniquifier perturbs numeric literals through this
-    /// visitor on a *cached* parse of each template — re-rendering a unique
-    /// query per submission without re-parsing or allocating — so the visit
-    /// order is part of the deterministic-replay contract: it fixes the RNG
-    /// draw order of every simulated submission.
+    /// visitor, and the engine's submission path caches each template's
+    /// numeric literals in this order to make the same draws without
+    /// rendering — so the visit order is part of the deterministic-replay
+    /// contract: it fixes the RNG draw order of every simulated submission.
     pub fn for_each_literal_mut(&mut self, f: &mut impl FnMut(&mut Literal)) {
         for item in &mut self.items {
             item.expr.for_each_literal_mut(f);

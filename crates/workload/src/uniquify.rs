@@ -8,26 +8,25 @@
 //! RNG, and re-render. The result is semantically near-identical but textually
 //! unique, so a text-keyed plan cache always misses.
 //!
-//! Two entry points share the exact same RNG draws and rendered bytes:
+//! Two entry points consume the exact same RNG draws:
 //!
 //! * [`Uniquifier::uniquify`] — parse, perturb, render to a fresh `String`
-//!   (the original API; tests and one-off callers);
-//! * [`Uniquifier::uniquify_digest`] — the engine's hot path: perturbs a
-//!   *cached* parse of the template in place (resetting literals from a
-//!   snapshot first), renders into a reused buffer, and returns only the
-//!   64-bit FNV-1a digest of the text. After the first submission of each
-//!   template this allocates nothing, while producing bit-for-bit the same
-//!   RNG stream — and therefore the same simulation — as the allocating
-//!   path.
+//!   (tests and one-off callers that want the SQL);
+//! * [`Uniquifier::draw_perturbations`] — the engine's submission path. The
+//!   engine never looks at the unique text: its plan cache is defeated by
+//!   construction and is never consulted with text. So this path only makes
+//!   the perturbation draws, from the numeric literals of one cached parse
+//!   per template, and renders nothing. After the first submission of each
+//!   template it allocates nothing, and it leaves the RNG stream — and
+//!   therefore the simulation — exactly where the allocating path would.
 
 use crate::catalog::TemplateId;
 use std::fmt::Write as _;
 use throttledb_sim::SimRng;
-use throttledb_sqlparse::{parse, Literal, SelectStatement};
+use throttledb_sqlparse::{parse, Literal};
 
-/// 64-bit FNV-1a over `bytes` — the digest the engine keys its plan-cache
-/// lookups on (cheap, stable, and good enough for a cache that is designed
-/// to miss).
+/// 64-bit FNV-1a over `bytes` (cheap and stable; the trace plane's
+/// digests build on it).
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut hash = Fnv64::new();
     hash.update(bytes);
@@ -69,35 +68,12 @@ impl Default for Fnv64 {
     }
 }
 
-/// A template parsed once, with a snapshot of its numeric literals so each
-/// submission can re-perturb from the original values.
-#[derive(Debug, Clone)]
-struct Prepared {
-    stmt: SelectStatement,
-    /// Original numeric-literal values in visitor order.
-    originals: Vec<f64>,
-}
-
-impl Prepared {
-    fn new(sql: &str) -> Prepared {
-        let mut stmt = parse(sql).expect("workload templates must parse");
-        let mut originals = Vec::new();
-        stmt.for_each_literal_mut(&mut |lit| {
-            if let Literal::Number(n) = lit {
-                originals.push(*n);
-            }
-        });
-        Prepared { stmt, originals }
-    }
-}
-
 /// Rewrites query templates into unique instances.
 #[derive(Debug, Default, Clone)]
 pub struct Uniquifier {
-    /// Cached parses, indexed by [`TemplateId`].
-    prepared: Vec<Option<Prepared>>,
-    /// Reused render buffer for the digest path.
-    buf: String,
+    /// Numeric literals of each template's parse in visit order, indexed
+    /// by [`TemplateId`].
+    literals: Vec<Option<Vec<f64>>>,
 }
 
 impl Uniquifier {
@@ -143,58 +119,51 @@ impl Uniquifier {
         text
     }
 
-    /// Allocation-free variant for the engine's submission path: perturb
-    /// the cached parse of template `id` (whose text is `template_sql`),
-    /// and return the FNV-1a digest of the uniquified SQL instead of the
-    /// text itself.
+    /// Make exactly the RNG draws [`Uniquifier::uniquify`] would make for
+    /// template `id` (whose text is `template_sql`), without building the
+    /// unique text.
     ///
-    /// Consumes exactly the RNG draws of [`Uniquifier::uniquify`] and
-    /// digests exactly the bytes it would have produced (verified by test),
-    /// so swapping the engine onto this path changes no simulation outcome.
-    pub fn uniquify_digest(
-        &mut self,
-        id: TemplateId,
-        template_sql: &str,
-        rng: &mut SimRng,
-        submission_id: u64,
-    ) -> u64 {
+    /// Each cached literal goes through the same perturbation arithmetic
+    /// as the allocating path, in the same visit order, so the draw count
+    /// and every range match it draw for draw (verified by test) and no
+    /// seeded simulation outcome changes.
+    pub fn draw_perturbations(&mut self, id: TemplateId, template_sql: &str, rng: &mut SimRng) {
         let slot = id.index();
-        if slot >= self.prepared.len() {
-            self.prepared.resize_with(slot + 1, || None);
+        if slot >= self.literals.len() {
+            self.literals.resize_with(slot + 1, || None);
         }
-        let prepared = self.prepared[slot].get_or_insert_with(|| Prepared::new(template_sql));
-        // Reset each literal to the template's original value and perturb it
-        // in one pass — the same visit order, and therefore the same RNG
-        // draws, as perturbing a fresh parse.
-        let originals = &prepared.originals;
-        let mut i = 0;
-        prepared.stmt.for_each_literal_mut(&mut |lit| {
-            if let Literal::Number(n) = lit {
-                *n = originals[i];
-                i += 1;
-            }
-            perturb_literal(lit, rng);
-        });
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        let _ = write!(buf, "{}", prepared.stmt);
-        if buf == template_sql {
-            let _ = write!(buf, " LIMIT {}", 1_000_000 + submission_id % 1_000);
+        let literals = self.literals[slot].get_or_insert_with(|| numeric_literals(template_sql));
+        for &n in literals.iter() {
+            perturbed(n, rng);
         }
-        let digest = fnv1a_64(buf.as_bytes());
-        self.buf = buf;
-        digest
     }
 }
 
-/// Nudge a numeric literal by up to ±3% (at least ±1) so selectivities stay
-/// close to the template's but the text is unique.
+/// The numeric literals of `sql`'s parse, in `for_each_literal_mut` order.
+fn numeric_literals(sql: &str) -> Vec<f64> {
+    let mut stmt = parse(sql).expect("workload templates must parse");
+    let mut literals = Vec::new();
+    stmt.for_each_literal_mut(&mut |lit| {
+        if let Literal::Number(n) = lit {
+            literals.push(*n);
+        }
+    });
+    literals
+}
+
+/// Perturb a numeric literal in place; other literals draw nothing.
 fn perturb_literal(lit: &mut Literal, rng: &mut SimRng) {
     if let Literal::Number(n) = lit {
-        let magnitude = (n.abs() * 0.03).max(1.0);
-        let delta = rng.uniform_f64(0.0, magnitude * 2.0) - magnitude;
-        *n = (*n + delta).round();
+        *n = perturbed(*n, rng);
     }
+}
+
+/// `n` nudged by up to ±3% (at least ±1) with one draw from `rng`, so
+/// selectivities stay close to the template's but the text is unique.
+fn perturbed(n: f64, rng: &mut SimRng) -> f64 {
+    let magnitude = (n.abs() * 0.03).max(1.0);
+    let delta = rng.uniform_f64(0.0, magnitude * 2.0) - magnitude;
+    (n + delta).round()
 }
 
 #[cfg(test)]
@@ -264,52 +233,44 @@ mod tests {
     }
 
     #[test]
-    fn digest_path_matches_the_allocating_path_exactly() {
-        // The hot path must consume the same RNG draws and digest the same
-        // bytes as the allocating path, template by template, submission by
-        // submission — this equality is what lets the engine switch paths
-        // without perturbing any seeded experiment.
-        let catalog = TemplateCatalog::from_templates(
+    fn draw_path_matches_the_allocating_paths_draws() {
+        // The engine's draw-only path must leave the RNG exactly where the
+        // allocating path does, template by template and submission by
+        // submission — this equality is what lets the engine skip the
+        // render without perturbing any seeded experiment.
+        let mut catalog = TemplateCatalog::from_templates(
             sales_templates()
                 .into_iter()
                 .chain(tpch_like_templates())
                 .chain(oltp_templates()),
         );
+        catalog.intern(crate::templates::QueryTemplate {
+            name: "bare".into(),
+            kind: crate::templates::WorkloadKind::Oltp,
+            sql: "SELECT a FROM t".into(),
+        });
+        assert_eq!(
+            catalog.len(),
+            21,
+            "20-template catalog plus a literal-free one"
+        );
         let reference = Uniquifier::new();
-        let mut hot = Uniquifier::new();
+        let mut drawer = Uniquifier::new();
         let mut rng_a = SimRng::seed_from_u64(23);
         let mut rng_b = SimRng::seed_from_u64(23);
         for round in 0..5u64 {
             for (id, t) in catalog.iter() {
                 let sub = round * 100 + id.index() as u64;
-                let text = reference.uniquify(&t.sql, &mut rng_a, sub);
-                let digest = hot.uniquify_digest(id, &t.sql, &mut rng_b, sub);
+                reference.uniquify(&t.sql, &mut rng_a, sub);
+                drawer.draw_perturbations(id, &t.sql, &mut rng_b);
                 assert_eq!(
-                    digest,
-                    fnv1a_64(text.as_bytes()),
-                    "digest mismatch for {} round {round}",
+                    rng_a.clone().next_u64(),
+                    rng_b.clone().next_u64(),
+                    "RNG streams diverged after {} in round {round}",
                     t.name
                 );
             }
         }
-        // And the RNG streams stayed in lockstep throughout.
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
-    }
-
-    #[test]
-    fn digest_path_tags_literal_free_templates() {
-        let mut catalog = TemplateCatalog::new();
-        let id = catalog.intern(crate::templates::QueryTemplate {
-            name: "bare".into(),
-            kind: crate::templates::WorkloadKind::Oltp,
-            sql: "SELECT a FROM t".into(),
-        });
-        let mut u = Uniquifier::new();
-        let mut rng = SimRng::seed_from_u64(29);
-        let d1 = u.uniquify_digest(id, catalog.sql(id), &mut rng, 1);
-        let d2 = u.uniquify_digest(id, catalog.sql(id), &mut rng, 2);
-        assert_ne!(d1, d2, "the LIMIT tag must keep literal-free SQL unique");
-        assert_ne!(d1, fnv1a_64(b"SELECT a FROM t"));
     }
 
     #[test]
