@@ -1,30 +1,31 @@
-//! Heap vs timing-wheel event-queue microbenchmark.
+//! Event-queue microbenchmark at the depths the engine reaches.
 //!
-//! Two patterns, each at 1k / 100k / 1M scheduled events:
+//! The engine's pending set peaks below 1k events even at paper scale, so
+//! both patterns run at 64 / 256 / 1024 pending events:
 //!
 //! * **fill_drain** — schedule every event, then pop until empty (the
-//!   shape of a sweep's final drain);
+//!   shape of a run's final drain);
 //! * **churn** — a closed-loop steady state: pop one event, schedule its
 //!   successor at `popped.at + think-time`, repeat (the shape of the
 //!   engine's event loop, with the pending-set size held at N).
 //!
 //! Besides the criterion groups, running this bench (`cargo bench -p
 //! throttledb-bench --bench event_queue`) rewrites `BENCH_event_queue.json`
-//! at the repo root with events/sec for both implementations and the
-//! wheel/heap speedup — the measured record of the queue swap.
+//! at the repo root with events/sec per (pattern, depth).
 
 use criterion::{black_box, Criterion};
 use std::fmt::Write as _;
 use std::time::Instant;
-use throttledb_sim::{EventQueue, HeapEventQueue, SimDuration, SimRng, SimTime};
+use throttledb_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
-/// Virtual horizon the fill pattern spreads its events over: ~30 s, the
-/// density a "millions of users" run pushes through the queue.
+/// Pending-set sizes measured: the engine's observed range.
+const DEPTHS: [usize; 3] = [64, 256, 1024];
+
+/// Virtual horizon the fill pattern spreads its events over (~30 s).
 const FILL_HORIZON_US: u64 = 30_000_000;
 
 /// Think-time-like delays for the churn pattern: exponential with a 10 s
-/// mean, so most successors land in the wheel's near window and the tail
-/// exercises the far heap, like the engine's own mix.
+/// mean, like the engine's closed-loop clients.
 fn churn_delay(rng: &mut SimRng) -> SimDuration {
     SimDuration::from_secs_f64(rng.exponential(10.0))
 }
@@ -36,35 +37,20 @@ fn fill_times(n: usize, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-fn fill_drain_wheel(times: &[u64]) -> u64 {
+fn fill_drain(times: &[u64]) -> u64 {
     let mut q = EventQueue::new();
     for (i, &t) in times.iter().enumerate() {
         q.schedule(SimTime::from_micros(t), i as u64);
     }
-    let mut popped = 0;
     while let Some(e) = q.pop() {
         black_box(e.seq);
-        popped += 1;
     }
-    popped
-}
-
-fn fill_drain_heap(times: &[u64]) -> u64 {
-    let mut q = HeapEventQueue::new();
-    for (i, &t) in times.iter().enumerate() {
-        q.schedule(SimTime::from_micros(t), i as u64);
-    }
-    let mut popped = 0;
-    while let Some(e) = q.pop() {
-        black_box(e.seq);
-        popped += 1;
-    }
-    popped
+    q.dispatched()
 }
 
 /// Closed-loop churn over a pending set of `n` events: `rounds` pops, each
 /// immediately replaced. Returns the number of dispatched events.
-fn churn_wheel(n: usize, rounds: usize, seed: u64) -> u64 {
+fn churn(n: usize, rounds: usize, seed: u64) -> u64 {
     let mut rng = SimRng::seed_from_u64(seed);
     let mut q = EventQueue::new();
     for i in 0..n {
@@ -76,22 +62,6 @@ fn churn_wheel(n: usize, rounds: usize, seed: u64) -> u64 {
         q.schedule(e.at + churn_delay(&mut rng), e.payload);
     }
     q.dispatched()
-}
-
-fn churn_heap(n: usize, rounds: usize, seed: u64) -> u64 {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut q = HeapEventQueue::new();
-    let mut dispatched = 0;
-    for i in 0..n {
-        let at = SimTime::ZERO + churn_delay(&mut rng);
-        q.schedule(at, i as u64);
-    }
-    for _ in 0..rounds {
-        let e = q.pop().expect("closed loop never drains");
-        dispatched += 1;
-        q.schedule(e.at + churn_delay(&mut rng), e.payload);
-    }
-    dispatched
 }
 
 /// Best-of-`runs` events/sec for `f`, which reports how many events it
@@ -107,77 +77,36 @@ fn measure(runs: usize, mut f: impl FnMut() -> u64) -> f64 {
     best
 }
 
-struct Row {
-    pattern: &'static str,
-    events: usize,
-    heap_eps: f64,
-    wheel_eps: f64,
-}
-
 fn main() {
-    // Criterion groups for the small/medium sizes (the 1M case is measured
-    // directly below; a 20-sample criterion pass over it is needlessly slow).
     let mut c = Criterion::default();
-    for &n in &[1_000usize, 100_000] {
+    for n in DEPTHS {
         let times = fill_times(n, 7);
-        let mut group = c.benchmark_group(format!("event_queue/fill_drain_{n}"));
+        let mut group = c.benchmark_group(format!("event_queue/depth_{n}"));
         group.sample_size(10);
-        group.bench_function("heap", |b| b.iter(|| fill_drain_heap(black_box(&times))));
-        group.bench_function("wheel", |b| b.iter(|| fill_drain_wheel(black_box(&times))));
+        group.bench_function("fill_drain", |b| b.iter(|| fill_drain(black_box(&times))));
+        group.bench_function("churn", |b| b.iter(|| churn(n, 16 * n, 11)));
         group.finish();
     }
 
-    // The measured record: both patterns at 1k / 100k / 1M. A single run at
-    // the small sizes lasts ~100 µs, well inside scheduler/turbo noise, so
-    // best-of over many runs is what makes the recorded ratio meaningful.
-    let best_of = |n: usize| match n {
-        n if n >= 1_000_000 => 3,
-        n if n >= 100_000 => 5,
-        _ => 100,
-    };
+    // The measured record. A single run lasts microseconds, well inside
+    // scheduler/turbo noise, so each figure is the best of many runs.
     let mut rows = Vec::new();
-    for &n in &[1_000usize, 100_000, 1_000_000] {
+    for n in DEPTHS {
         let times = fill_times(n, 7);
-        let runs = best_of(n);
-        rows.push(Row {
-            pattern: "fill_drain",
-            events: n,
-            heap_eps: measure(runs, || fill_drain_heap(&times)),
-            wheel_eps: measure(runs, || fill_drain_wheel(&times)),
-        });
+        rows.push(("fill_drain", n, measure(500, || fill_drain(&times))));
     }
-    for &n in &[1_000usize, 100_000, 1_000_000] {
-        // Dispatch 2N events against a pending set held at N.
-        let rounds = n * 2;
-        let runs = best_of(n);
-        rows.push(Row {
-            pattern: "churn",
-            events: n,
-            heap_eps: measure(runs, || churn_heap(n, rounds, 11)),
-            wheel_eps: measure(runs, || churn_wheel(n, rounds, 11)),
-        });
+    for n in DEPTHS {
+        // Dispatch 64N events against a pending set held at N.
+        rows.push(("churn", n, measure(50, || churn(n, 64 * n, 11))));
     }
 
-    println!(
-        "\n{:<12} {:>10} {:>16} {:>16} {:>9}",
-        "pattern", "events", "heap ev/s", "wheel ev/s", "speedup"
-    );
+    println!("\n{:<12} {:>8} {:>16}", "pattern", "pending", "events/s");
     let mut json = String::from("{\n  \"benchmark\": \"event_queue\",\n  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let speedup = r.wheel_eps / r.heap_eps.max(1e-12);
-        println!(
-            "{:<12} {:>10} {:>16.0} {:>16.0} {:>8.2}x",
-            r.pattern, r.events, r.heap_eps, r.wheel_eps, speedup
-        );
+    for (i, (pattern, n, eps)) in rows.iter().enumerate() {
+        println!("{pattern:<12} {n:>8} {eps:>16.0}");
         let _ = writeln!(
             json,
-            "    {{\"pattern\": \"{}\", \"events\": {}, \"heap_events_per_sec\": {:.0}, \
-             \"wheel_events_per_sec\": {:.0}, \"speedup\": {:.2}}}{}",
-            r.pattern,
-            r.events,
-            r.heap_eps,
-            r.wheel_eps,
-            speedup,
+            "    {{\"pattern\": \"{pattern}\", \"pending\": {n}, \"events_per_sec\": {eps:.0}}}{}",
             if i + 1 < rows.len() { "," } else { "" },
         );
     }

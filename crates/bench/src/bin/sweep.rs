@@ -2,24 +2,17 @@
 //!
 //! ```text
 //! sweep [--scenarios a,b,...] [--seeds 1,2,...] [--scale quick|paper]
-//!       [--workers N] [--shards N] [--out PATH] [--cells-out PATH]
+//!       [--workers N] [--out PATH] [--cells-out PATH]
 //!       [--policies ladder,pid,cost] [--policies-out PATH]
-//!       [--shard-scale-out PATH]
+//!       [--faults] [--resilience-out PATH]
 //! sweep --list
 //! ```
 //!
-//! Cell results depend only on (scenario, seed, scale): `--workers` and
-//! `--shards` change wall-clock time and nothing else, which CI enforces by
-//! diffing the `--cells-out` file between `--workers 4` and `--workers 1`
-//! runs and between `--shards 4` and `--shards 1` runs. `--out` writes the
-//! full `BENCH_sweep.json` (cells + wall-clock timing + sweep metadata);
-//! see `docs/EXPERIMENTS.md` for the schema.
-//!
-//! `--shard-scale-out` switches on the shard-scaling benchmark: every
-//! (scenario, seed) runs sequentially at 1 shard and at `--shards` (default
-//! 4) generator shards, and the path receives `BENCH_shard_scale.json` —
-//! the shard-count-invariant cells plus per-scenario `shard_speedup`
-//! aggregates the regression gate holds to within tolerance.
+//! Cell results depend only on (scenario, seed, scale): `--workers`
+//! changes wall-clock time and nothing else, which CI enforces by diffing
+//! the `--cells-out` file between `--workers 4` and `--workers 1` runs.
+//! `--out` writes the full `BENCH_sweep.json` (cells + wall-clock timing +
+//! sweep metadata); see `docs/EXPERIMENTS.md` for the schema.
 //!
 //! `--policies` switches on the admission-policy laboratory: instead of the
 //! plain (scenario × seed) sweep, the full (policy × scenario × seed) grid
@@ -37,23 +30,20 @@
 
 use std::process::ExitCode;
 use throttledb_bench::sweep::{
-    run_policy_sweep, run_resilience_sweep, run_shard_scale, run_sweep, PolicySweepSpec,
-    ShardScaleSpec, SweepSpec,
+    run_policy_sweep, run_resilience_sweep, run_sweep, PolicySweepSpec, SweepSpec,
 };
 use throttledb_engine::PolicyKind;
 use throttledb_scenario::{Scale, Scenario};
 
 fn usage() -> ExitCode {
     eprintln!("usage: sweep [--scenarios a,b,...] [--seeds 1,2,...] [--scale quick|paper]");
-    eprintln!("             [--workers N] [--shards N] [--out PATH] [--cells-out PATH]");
+    eprintln!("             [--workers N] [--out PATH] [--cells-out PATH]");
     eprintln!("             [--policies ladder,pid,cost] [--policies-out PATH]");
     eprintln!("             [--faults] [--resilience-out PATH]");
-    eprintln!("             [--shard-scale-out PATH]");
     eprintln!("       sweep --list");
     eprintln!("defaults: --scenarios compile_storm --seeds 2007 --scale quick");
-    eprintln!("          --workers <available parallelism> --shards 1");
+    eprintln!("          --workers <available parallelism>");
     eprintln!("          --faults alone sweeps every chaos scenario across all policies");
-    eprintln!("          --shard-scale-out measures 1 shard vs --shards (default 4)");
     ExitCode::from(2)
 }
 
@@ -72,10 +62,8 @@ fn main() -> ExitCode {
     let mut workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut shards = 1u32;
     let mut out = None;
     let mut cells_out = None;
-    let mut shard_scale_out = None;
     let mut policies: Option<Vec<PolicyKind>> = None;
     let mut policies_out = None;
     let mut faults = false;
@@ -113,14 +101,6 @@ fn main() -> ExitCode {
             "--workers" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => workers = n,
                 _ => return usage(),
-            },
-            "--shards" => match iter.next().and_then(|s| s.parse::<u32>().ok()) {
-                Some(n) if n >= 1 => shards = n,
-                _ => return usage(),
-            },
-            "--shard-scale-out" => match iter.next() {
-                Some(path) => shard_scale_out = Some(path.clone()),
-                None => return usage(),
             },
             "--out" => match iter.next() {
                 Some(path) => out = Some(path.clone()),
@@ -167,58 +147,6 @@ fn main() -> ExitCode {
             eprintln!("unknown scenario {name:?} (try --list)");
             return usage();
         }
-    }
-
-    if let Some(path) = shard_scale_out {
-        let top = if shards > 1 { shards } else { 4 };
-        let spec = ShardScaleSpec {
-            scenarios,
-            seeds,
-            scale,
-            shard_counts: vec![1, top],
-            workers,
-        };
-        eprintln!(
-            "shard scaling: {} scenario(s) x {} seed(s) at 1 and {} shard(s), one cell at a time...",
-            spec.scenarios.len(),
-            spec.seeds.len(),
-            top
-        );
-        let outcome = run_shard_scale(&spec);
-        println!(
-            "{:<22} {:>6} {:>7} {:>12} {:>9} {:>12} {:>11} {:>12}",
-            "scenario", "seed", "shards", "events", "wall-ms", "events/s", "admitted/s", "shed/s"
-        );
-        for c in &outcome.cells {
-            println!(
-                "{:<22} {:>6} {:>7} {:>12} {:>9.0} {:>12.0} {:>11.0} {:>12.0}",
-                c.cell.scenario,
-                c.cell.seed,
-                c.shards,
-                c.cell.events_dispatched,
-                c.timing.wall_ms,
-                c.timing.events_per_sec,
-                per_sec(c.cell.arrivals_admitted, c.timing.wall_ms),
-                per_sec(c.cell.arrivals_shed, c.timing.wall_ms)
-            );
-        }
-        for s in &outcome.speedups {
-            println!(
-                "speedup: {} at {} shards = {:.2}x",
-                s.scenario, s.shards, s.shard_speedup
-            );
-        }
-        println!(
-            "total: {} cells in {:.0} ms",
-            outcome.cells.len(),
-            outcome.total_wall_ms
-        );
-        if let Err(e) = std::fs::write(&path, outcome.shard_scale_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("shard-scaling results written to {path}");
-        return ExitCode::SUCCESS;
     }
 
     if faults {
@@ -333,14 +261,12 @@ fn main() -> ExitCode {
         seeds,
         scale,
         workers,
-        shards,
     };
     eprintln!(
-        "sweeping {} scenario(s) x {} seed(s) on {} worker(s), {} shard(s) per cell...",
+        "sweeping {} scenario(s) x {} seed(s) on {} worker(s)...",
         spec.scenarios.len(),
         spec.seeds.len(),
-        spec.workers,
-        spec.shards
+        spec.workers
     );
     let outcome = run_sweep(&spec);
 

@@ -298,16 +298,10 @@ const METRICS: &[(&str, Direction, f64)] = &[
     ("arrivals", Direction::HigherIsBetter, 2.0),
     ("arrivals_admitted", Direction::HigherIsBetter, 2.0),
     ("arrivals_shed", Direction::LowerIsBetter, 2.0),
-    // Shard-scaling (BENCH_shard_scale.json aggregates). The speedup is a
-    // same-machine events/sec ratio, so — unlike the raw rates, which stay
-    // ungated — it transfers across machines; the floor absorbs scheduler
-    // noise around a ~2-3x baseline without masking a real collapse back
-    // toward 1x.
-    ("shard_speedup", Direction::HigherIsBetter, 0.25),
     // Trace-codec metrics (BENCH_trace.json). Sizes and ratios are
     // deterministic per (codec, scenario); the throughput rates are
     // same-machine and stay ungated, but the v2-over-v1 speedups are
-    // ratios and transfer across machines like shard_speedup does.
+    // same-machine ratios, so they transfer across machines.
     ("bytes_per_event", Direction::LowerIsBetter, 0.5),
     ("size_ratio", Direction::HigherIsBetter, 0.5),
     ("encode_speedup", Direction::HigherIsBetter, 0.5),
@@ -346,12 +340,6 @@ fn entry_key(obj: &Value, kind: &str) -> String {
     }
     if let Some(seed) = obj.get("seed").and_then(Value::as_f64) {
         let _ = write!(key, " seed={seed}");
-    }
-    // Shard-scaling documents measure the *same* (scenario, seed) at
-    // several shard counts; the count is identity there, or two cells
-    // would collide on one key and a vanished shard count could hide.
-    if let Some(shards) = obj.get("shards").and_then(Value::as_f64) {
-        let _ = write!(key, " shards={shards}");
     }
     key
 }
@@ -466,7 +454,9 @@ pub fn self_test() -> Result<(), String> {
     {"policy": "ladder", "scenario": "retry_storm", "seed": 2007,
      "completed": 400, "failed": 30, "shed": 0,
      "retries_abandoned": 5, "breaker_transitions": 4,
-     "goodput_under_fault": 0.02, "time_to_recovery_s": 600.0}
+     "goodput_under_fault": 0.02, "time_to_recovery_s": 600.0},
+    {"scenario": "open_loop_scale", "seed": 2007, "arrivals": 90000,
+     "arrivals_admitted": 2000, "arrivals_shed": 88000}
   ],
   "aggregates": [
     {"policy": "ladder", "scenario": "compile_storm", "seeds": 5,
@@ -519,6 +509,13 @@ pub fn self_test() -> Result<(), String> {
         Ok(r) if r.len() == 1 && r[0].what.contains("shed") => {}
         Ok(r) => return Err(format!("shed storm over a zero baseline not caught: {r:?}")),
         Err(e) => return Err(format!("self-test shed-storm doc failed to parse: {e:?}")),
+    }
+    // An open-loop cell whose admissions halve must trip arrivals_admitted.
+    let shedding = baseline.replace("\"arrivals_admitted\": 2000", "\"arrivals_admitted\": 1000");
+    match compare_text(baseline, &shedding, 0.10) {
+        Ok(r) if r.len() == 1 && r[0].what.contains("arrivals_admitted") => {}
+        Ok(r) => return Err(format!("halved admissions not caught exactly once: {r:?}")),
+        Err(e) => return Err(format!("self-test arrivals doc failed to parse: {e:?}")),
     }
     // A trace-codec compression collapse must trip size_ratio.
     let bloated = baseline.replace("\"size_ratio\": 5.5", "\"size_ratio\": 2.0");
@@ -665,33 +662,6 @@ mod tests {
         let trips = compare_text(base, &stormy, 0.10).unwrap();
         assert_eq!(trips.len(), 1, "{trips:?}");
         assert!(trips[0].what.contains("arrivals_shed"));
-    }
-
-    #[test]
-    fn shard_speedup_is_gated_per_shard_count() {
-        let base = r#"{"cells": [
-            {"scenario": "open_loop_scale", "seed": 2007, "shards": 1, "arrivals": 100},
-            {"scenario": "open_loop_scale", "seed": 2007, "shards": 4, "arrivals": 100}],
-          "aggregates": [
-            {"scenario": "open_loop_scale", "shards": 4, "shard_speedup": 2.5}]}"#;
-        // Identical documents pass; measurement noise within the floor passes.
-        assert_eq!(compare_text(base, base, 0.10).unwrap(), vec![]);
-        let noisy = base.replace("2.5", "2.3");
-        assert_eq!(compare_text(base, &noisy, 0.10).unwrap(), vec![]);
-        // A collapse back toward 1x trips shard_speedup.
-        let collapsed = base.replace("2.5", "1.1");
-        let trips = compare_text(base, &collapsed, 0.10).unwrap();
-        assert_eq!(trips.len(), 1, "{trips:?}");
-        assert!(trips[0].what.contains("shard_speedup"));
-        // The shard count is identity: losing the 4-shard cell is a missing
-        // cell, not a silent merge with its 1-shard sibling.
-        let lost = base.replace(
-            ",\n            {\"scenario\": \"open_loop_scale\", \"seed\": 2007, \"shards\": 4, \"arrivals\": 100}",
-            "",
-        );
-        let trips = compare_text(base, &lost, 0.10).unwrap();
-        assert_eq!(trips.len(), 1, "{trips:?}");
-        assert!(trips[0].what.contains("shards=4") && trips[0].what.contains("missing"));
     }
 
     #[test]

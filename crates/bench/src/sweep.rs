@@ -37,12 +37,6 @@ pub struct SweepSpec {
     pub scale: Scale,
     /// Worker threads (clamped to at least 1). Affects wall-clock only.
     pub workers: usize,
-    /// Generator shards per cell (clamped to at least 1). Like `workers`,
-    /// affects wall-clock only: the sharded engine's schedule is
-    /// byte-identical to the single-threaded one, so every deterministic
-    /// cell field is invariant under this knob — CI diffs `--shards 4`
-    /// against `--shards 1` to prove it.
-    pub shards: u32,
 }
 
 /// The deterministic result of one (scenario, seed) cell.
@@ -64,7 +58,7 @@ pub struct SweepCell {
     pub phases: usize,
     /// Simulation events dispatched by the run's event loop.
     pub events_dispatched: u64,
-    /// Peak pending events in the timing-wheel queue.
+    /// Peak pending events in the run's event queue.
     pub peak_queue_depth: usize,
     /// Open-loop arrivals offered across all sources (0 for purely
     /// closed-loop scenarios).
@@ -161,7 +155,6 @@ pub fn run_sweep(spec: &SweepSpec) -> SweepOutcome {
                         seed,
                         spec.scale,
                         profiles[scenario_idx].clone(),
-                        spec.shards,
                     );
                     warmup_micros.fetch_add(
                         warmup_started.elapsed().as_micros() as usize,
@@ -174,13 +167,7 @@ pub fn run_sweep(spec: &SweepSpec) -> SweepOutcome {
                         break;
                     };
                     let name = &spec.scenarios[scenario_idx];
-                    let measured = run_cell(
-                        name,
-                        seed,
-                        spec.scale,
-                        profiles[scenario_idx].clone(),
-                        spec.shards,
-                    );
+                    let measured = run_cell(name, seed, spec.scale, profiles[scenario_idx].clone());
                     results.lock().expect("no poisoned workers")[idx] = Some(measured);
                 }
             });
@@ -232,22 +219,11 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Serialize one cell object; all three JSON documents go through here so
-/// the CI-diffed `--cells-out` file can never drift from the `cells`
-/// section of `BENCH_sweep.json` (which only appends the wall-clock
-/// fields) or of `BENCH_shard_scale.json` (which also prepends the shard
-/// count the cell ran at).
-fn write_cell(
-    out: &mut String,
-    c: &SweepCell,
-    shards: Option<u32>,
-    timing: Option<&SweepTiming>,
-    last: bool,
-) {
+/// Serialize one cell object; both JSON documents go through here so the
+/// CI-diffed `--cells-out` file can never drift from the `cells` section
+/// of `BENCH_sweep.json` (which only appends the wall-clock fields).
+fn write_cell(out: &mut String, c: &SweepCell, timing: Option<&SweepTiming>, last: bool) {
     out.push_str("    {");
-    if let Some(n) = shards {
-        let _ = write!(out, "\"shards\": {n}, ");
-    }
     let _ = write!(
         out,
         "\"scenario\": \"{}\", \"seed\": {}, \"submitted\": {}, \
@@ -290,7 +266,7 @@ impl SweepOutcome {
         out.push_str(scale_str(self.scale));
         out.push_str("\",\n  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
-            write_cell(&mut out, c, None, None, i + 1 == self.cells.len());
+            write_cell(&mut out, c, None, i + 1 == self.cells.len());
         }
         out.push_str("  ]\n}\n");
         out
@@ -328,23 +304,20 @@ impl SweepOutcome {
         );
         out.push_str("  \"cells\": [\n");
         for (i, (c, t)) in self.cells.iter().zip(self.timings.iter()).enumerate() {
-            write_cell(&mut out, c, None, Some(t), i + 1 == self.cells.len());
+            write_cell(&mut out, c, Some(t), i + 1 == self.cells.len());
         }
         out.push_str("  ]\n}\n");
         out
     }
 }
 
-/// Run and measure one (scenario, seed) cell at `shards` generator shards.
-/// The deterministic fields depend only on (scenario, seed, scale) — the
-/// shard count, like the worker count, moves wall-clock time and nothing
-/// else.
+/// Run and measure one (scenario, seed) cell. The deterministic fields
+/// depend only on (scenario, seed, scale).
 fn run_cell(
     name: &str,
     seed: u64,
     scale: Scale,
     profiles: Arc<WorkloadProfiles>,
-    shards: u32,
 ) -> (SweepCell, SweepTiming) {
     let cell_started = Instant::now();
     let scenario = Scenario::builtin(name, scale)
@@ -353,7 +326,6 @@ fn run_cell(
     let outcome = ScenarioRunner::new(scenario)
         .record_trace(true)
         .with_profiles(profiles)
-        .with_shards(shards.max(1))
         .run();
     let wall_ms = cell_started.elapsed().as_secs_f64() * 1e3;
     let metrics = &outcome.metrics;
@@ -378,186 +350,6 @@ fn run_cell(
         events_per_sec: metrics.events_dispatched as f64 / (wall_ms / 1e3).max(1e-9),
     };
     (cell, timing)
-}
-
-// --- the shard-scaling benchmark -----------------------------------------
-
-/// What the shard-scaling benchmark runs: every (scenario, seed) at every
-/// shard count, sequentially (a measured cell gets the whole machine — its
-/// generator shards *are* the parallelism under test).
-#[derive(Debug, Clone)]
-pub struct ShardScaleSpec {
-    /// Built-in scenario names, in output order.
-    pub scenarios: Vec<String>,
-    /// Seeds, in output order.
-    pub seeds: Vec<u64>,
-    /// Scale every cell runs at.
-    pub scale: Scale,
-    /// Shard counts to measure, in output order. Must include `1` for the
-    /// speedup aggregates to exist (it is the denominator).
-    pub shard_counts: Vec<u32>,
-    /// Worker threads for the up-front scenario characterization only —
-    /// the measured cells themselves always run one at a time.
-    pub workers: usize,
-}
-
-/// One measured (scenario, seed, shard count) cell.
-#[derive(Debug, Clone)]
-pub struct ShardScaleCell {
-    /// Generator shards the cell ran with.
-    pub shards: u32,
-    /// The deterministic result — byte-identical across `shards` values,
-    /// which [`ShardScaleOutcome::shard_scale_json`] exposes for the gate.
-    pub cell: SweepCell,
-    /// The cell's wall-clock measurement.
-    pub timing: SweepTiming,
-}
-
-/// Per-(scenario, shard count) throughput ratio over the same scenario's
-/// single-shard runs. A pure ratio of events/sec on the same machine and
-/// build, so — unlike the raw rates — it is meaningful to commit as a
-/// baseline and gate across machines.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSpeedup {
-    /// Scenario name.
-    pub scenario: String,
-    /// Shard count the numerator ran with.
-    pub shards: u32,
-    /// (events/sec at `shards`) / (events/sec at 1), summed over seeds.
-    pub shard_speedup: f64,
-}
-
-/// Everything the shard-scaling benchmark produced.
-#[derive(Debug, Clone)]
-pub struct ShardScaleOutcome {
-    /// The benchmark's scale.
-    pub scale: Scale,
-    /// Measured cells, ordered by (scenario, shard count, seed).
-    pub cells: Vec<ShardScaleCell>,
-    /// Speedup aggregates for every shard count above 1, scenario-major.
-    pub speedups: Vec<ShardSpeedup>,
-    /// End-to-end wall time in milliseconds.
-    pub total_wall_ms: f64,
-}
-
-/// Run the shard-scaling grid. Cells run strictly one at a time so each
-/// measurement owns the machine; determinism still holds cell-for-cell
-/// (the engine's sharded schedule is byte-identical to the single-threaded
-/// one), which the shard-equivalence tests prove and the gate re-checks
-/// against the committed `BENCH_shard_scale.json` baseline.
-pub fn run_shard_scale(spec: &ShardScaleSpec) -> ShardScaleOutcome {
-    let started = Instant::now();
-    let profiles = characterize_scenarios(&spec.scenarios, spec.scale, spec.workers.max(1));
-
-    // Warm-up, untimed and discarded, mirroring `run_sweep`: the first
-    // measured cell must not absorb allocator/page-fault warm-up, or the
-    // first shard count's events/sec (usually the speedup denominator)
-    // would be understated.
-    if let (Some(name), Some(&shards), Some(&seed)) = (
-        spec.scenarios.first(),
-        spec.shard_counts.first(),
-        spec.seeds.first(),
-    ) {
-        let _ = run_cell(name, seed, spec.scale, profiles[0].clone(), shards);
-    }
-
-    let mut cells = Vec::new();
-    for (scenario_idx, name) in spec.scenarios.iter().enumerate() {
-        for &shards in &spec.shard_counts {
-            for &seed in &spec.seeds {
-                let (cell, timing) = run_cell(
-                    name,
-                    seed,
-                    spec.scale,
-                    profiles[scenario_idx].clone(),
-                    shards,
-                );
-                cells.push(ShardScaleCell {
-                    shards,
-                    cell,
-                    timing,
-                });
-            }
-        }
-    }
-
-    // events/sec per (scenario, shard count), events and wall summed over
-    // seeds; the speedup is the ratio against the same scenario at 1.
-    let rate = |name: &str, shards: u32| -> f64 {
-        let (events, wall_ms) = cells
-            .iter()
-            .filter(|c| c.shards == shards && c.cell.scenario == name)
-            .fold((0u64, 0.0f64), |(e, w), c| {
-                (e + c.cell.events_dispatched, w + c.timing.wall_ms)
-            });
-        events as f64 / (wall_ms / 1e3).max(1e-9)
-    };
-    let mut speedups = Vec::new();
-    if spec.shard_counts.contains(&1) {
-        for name in &spec.scenarios {
-            let base = rate(name, 1);
-            for &shards in &spec.shard_counts {
-                if shards == 1 {
-                    continue;
-                }
-                speedups.push(ShardSpeedup {
-                    scenario: name.clone(),
-                    shards,
-                    shard_speedup: rate(name, shards) / base.max(1e-9),
-                });
-            }
-        }
-    }
-
-    ShardScaleOutcome {
-        scale: spec.scale,
-        cells,
-        speedups,
-        total_wall_ms: started.elapsed().as_secs_f64() * 1e3,
-    }
-}
-
-impl ShardScaleOutcome {
-    /// The `BENCH_shard_scale.json` document: the measured cells (their
-    /// deterministic fields are shard-count-invariant — the gate re-checks
-    /// them against the baseline) and the `shard_speedup` aggregates the
-    /// gate holds to within tolerance.
-    pub fn shard_scale_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"benchmark\": \"shard_scale\",\n  \"scale\": \"");
-        out.push_str(scale_str(self.scale));
-        out.push_str("\",\n  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            write_cell(
-                &mut out,
-                &c.cell,
-                Some(c.shards),
-                Some(&c.timing),
-                i + 1 == self.cells.len(),
-            );
-        }
-        out.push_str("  ],\n  \"aggregates\": [\n");
-        for (i, s) in self.speedups.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"scenario\": \"{}\", \"shards\": {}, \"shard_speedup\": {:.3}}}",
-                json_escape(&s.scenario),
-                s.shards,
-                s.shard_speedup,
-            );
-            let _ = writeln!(
-                out,
-                "{}",
-                if i + 1 == self.speedups.len() {
-                    ""
-                } else {
-                    ","
-                }
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
 // --- the admission-policy laboratory ------------------------------------
@@ -1157,7 +949,6 @@ mod tests {
             seeds: vec![2007, 2008],
             scale: Scale::Quick,
             workers,
-            shards: 1,
         }
     }
 
@@ -1205,7 +996,6 @@ mod tests {
             seeds: vec![2007, 2008],
             scale: Scale::Quick,
             workers,
-            shards: 1,
         };
         let sequential = run_sweep(&spec(1));
         let parallel = run_sweep(&spec(4));
@@ -1221,57 +1011,6 @@ mod tests {
             sequential.cells[0].arrival_digest,
             sequential.cells[1].arrival_digest
         );
-    }
-
-    #[test]
-    fn sharded_sweep_cells_match_single_shard_cells_byte_for_byte() {
-        let spec = |shards| SweepSpec {
-            scenarios: vec!["open_loop_poisson".to_string()],
-            seeds: vec![2007],
-            scale: Scale::Quick,
-            workers: 1,
-            shards,
-        };
-        let single = run_sweep(&spec(1));
-        let sharded = run_sweep(&spec(4));
-        assert_eq!(single.cells, sharded.cells);
-        assert_eq!(single.cells_json(), sharded.cells_json());
-        assert!(single.cells[0].arrivals > 0, "open loop must offer load");
-    }
-
-    #[test]
-    fn shard_scale_grid_reports_invariant_cells_and_a_speedup() {
-        let spec = ShardScaleSpec {
-            scenarios: vec!["open_loop_poisson".to_string()],
-            seeds: vec![2007],
-            scale: Scale::Quick,
-            shard_counts: vec![1, 2],
-            workers: 4,
-        };
-        let outcome = run_shard_scale(&spec);
-        assert_eq!(outcome.cells.len(), 2);
-        assert_eq!(outcome.cells[0].shards, 1);
-        assert_eq!(outcome.cells[1].shards, 2);
-        // The deterministic result is shard-count-invariant.
-        assert_eq!(outcome.cells[0].cell, outcome.cells[1].cell);
-        assert_eq!(outcome.speedups.len(), 1);
-        assert_eq!(outcome.speedups[0].shards, 2);
-        assert!(outcome.speedups[0].shard_speedup > 0.0);
-        // The JSON parses and the gate extracts the speedup aggregate under
-        // a shard-count-qualified key, distinct from the per-cell keys.
-        let doc = crate::gate::parse(&outcome.shard_scale_json()).expect("own JSON parses");
-        let entries = crate::gate::extract(&doc);
-        let speedup = entries
-            .iter()
-            .find(|e| e.metric == "shard_speedup")
-            .expect("speedup aggregate extracted");
-        assert_eq!(speedup.key, "aggregate scenario=open_loop_poisson shards=2");
-        assert!(entries
-            .iter()
-            .any(|e| e.key == "cell scenario=open_loop_poisson seed=2007 shards=1"));
-        assert!(entries
-            .iter()
-            .any(|e| e.key == "cell scenario=open_loop_poisson seed=2007 shards=2"));
     }
 
     #[test]

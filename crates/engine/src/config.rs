@@ -10,7 +10,7 @@ use throttledb_workload::ClientModel;
 /// One open-loop arrival source: an aggregate client population modeled as
 /// a stochastic arrival *process* instead of per-client closed-loop state.
 ///
-/// A source costs the server one pending timing-wheel event (its next
+/// A source costs the server one pending event-queue entry (its next
 /// arrival) regardless of how many users it models, which is what lets a
 /// single sweep cell push tens of millions of arrivals through admission.
 /// Arrivals beyond [`ArrivalSourceConfig::max_in_flight`] concurrent
@@ -264,14 +264,6 @@ pub struct ServerConfig {
     /// abandoned instead of requeued (fail fast). `None` disables the
     /// deadline.
     pub query_deadline: Option<SimDuration>,
-    /// Number of shards a single run spreads across worker cores: arrival
-    /// sources are partitioned `index % shards` onto generator shards
-    /// that pre-compute arrival instants one epoch (broker tick) ahead,
-    /// exchanged with the decision spine at deterministic epoch barriers.
-    /// `1` (the default) is a true no-op — the single-threaded path runs
-    /// unchanged — and any value produces byte-identical traces, metrics
-    /// and digests (see `docs/EXPERIMENTS.md` §8).
-    pub shards: u32,
 }
 
 impl ServerConfig {
@@ -331,7 +323,6 @@ impl ServerConfig {
             breaker: BreakerConfig::default(),
             retry_budget: 0,
             query_deadline: None,
-            shards: 1,
         }
     }
 
@@ -421,7 +412,6 @@ impl ServerConfig {
         if let Some(deadline) = self.query_deadline {
             assert!(!deadline.is_zero(), "query deadline must be positive");
         }
-        assert!(self.shards >= 1, "a run needs at least one shard");
     }
 
     /// The deterministic order in which clients are activated when fewer
@@ -646,15 +636,6 @@ mod tests {
         assert!(!c.breaker.enabled);
         assert_eq!(c.retry_budget, 0);
         assert_eq!(c.query_deadline, None);
-        assert_eq!(c.shards, 1, "sharding must be opt-in");
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        let mut c = ServerConfig::quick(5, true);
-        c.shards = 0;
         c.validate();
     }
 

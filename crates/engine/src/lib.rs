@@ -29,7 +29,6 @@ pub mod fault;
 pub mod metrics;
 pub mod profile;
 pub mod server;
-pub(crate) mod shard;
 pub mod stages;
 pub mod trace;
 

@@ -45,7 +45,7 @@ pub struct ClassMetrics {
 
 /// Per-arrival-source results of one run (one entry per configured
 /// open-loop source).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArrivalSourceMetrics {
     /// Source name.
     pub name: String,
@@ -105,7 +105,7 @@ pub struct RunMetrics {
     pub brownout_admits: u64,
     /// Retry chains abandoned because the per-client retry budget or the
     /// total query deadline was exhausted (the client gave up and moved on
-    /// instead of churning the wheel).
+    /// instead of churning the event queue).
     pub retries_abandoned: u64,
     /// Completions that landed inside an active fault window.
     pub completed_during_fault: u64,

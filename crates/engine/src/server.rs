@@ -10,7 +10,6 @@ use crate::config::ServerConfig;
 use crate::fault::{FaultKind, FaultSpec};
 use crate::metrics::{ArrivalSourceMetrics, ClassMetrics, RunMetrics};
 use crate::profile::{CompileProfile, WorkloadProfiles};
-use crate::shard::{unpack_arrival, ArrivalPlane};
 use crate::stages::{ClassRuntime, Query, QueryOrigin};
 use crate::trace::{TraceEvent, TraceSink};
 use std::cell::RefCell;
@@ -59,24 +58,11 @@ pub(crate) enum Event {
     LeakStep { index: u32 },
 }
 
-/// One step of the sharded merge loop (see `Server::shard_next`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShardStep {
-    /// Dispatch the timing wheel's head event.
-    Wheel,
-    /// Dispatch the given source's buffered front arrival.
-    Source(u32),
-    /// Receive one epoch from the generator shards before deciding.
-    Pump,
-    /// Nothing fires strictly before the boundary.
-    Done,
-}
-
 /// One arrival decision's contribution to the streaming FNV-1a arrival
 /// digest: 8 time bytes, 4 source bytes, 1 decision byte, little-endian.
-/// A free function so the shed loops (`on_arrival`'s skip and the sharded
-/// `drain_shed`) can fold into a register-held accumulator without
-/// round-tripping through `self` per arrival.
+/// A free function so `on_arrival`'s shed-run skip can fold into a
+/// register-held accumulator without round-tripping through `self` per
+/// arrival.
 #[inline]
 fn fold_arrival_digest(mut h: u64, at_us: u64, source: u32, code: u8) -> u64 {
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -101,7 +87,7 @@ pub(crate) struct PlanKey(pub TemplateId, pub u64);
 
 /// Runtime state of one open-loop arrival source.
 ///
-/// The whole modeled population is this struct plus one pending wheel
+/// The whole modeled population is this struct plus one pending queue
 /// event: the next-arrival sample. Each source draws from its own forked
 /// RNG stream, so sources never perturb each other (or the closed-loop
 /// workload stream).
@@ -231,9 +217,6 @@ pub struct Server {
     /// Whether a cohort-compressed population has been started; cohort
     /// runs require the population to stay constant afterwards.
     pub(crate) cohort_started: bool,
-    /// The generator shards of a `shards > 1` run with arrival sources
-    /// (see [`crate::shard`]); `None` runs the single-threaded path.
-    pub(crate) arrival_plane: Option<ArrivalPlane>,
 }
 
 impl Server {
@@ -353,7 +336,6 @@ impl Server {
             arrival_digest: 0xcbf2_9ce4_8422_2325,
             class_bounds,
             cohort_started: false,
-            arrival_plane: None,
             config,
         }
     }
@@ -378,10 +360,6 @@ impl Server {
     /// client population.
     pub fn begin(&mut self) {
         self.queue.schedule(self.now, Event::BrokerTick);
-        if self.config.shards > 1 && !self.sources.is_empty() {
-            self.begin_sharded();
-            return;
-        }
         let end = SimTime::ZERO + self.config.duration;
         for (index, src) in self.sources.iter_mut().enumerate() {
             let gap = src.sampler.next_gap(&mut src.rng, self.now);
@@ -397,43 +375,11 @@ impl Server {
         }
     }
 
-    /// Start the generator shards of a `shards > 1` run: hand each
-    /// worker clones of its sources' RNG streams and samplers (the
-    /// spine's own copies go untouched from here), then reserve the
-    /// first-arrival sequence numbers in source index order — exactly
-    /// the numbers the single-threaded `begin` would have consumed.
-    fn begin_sharded(&mut self) {
-        let end = SimTime::ZERO + self.config.duration;
-        let generators = self
-            .sources
-            .iter()
-            .map(|src| (src.rng.clone(), src.sampler.clone()))
-            .collect();
-        let mut plane = ArrivalPlane::spawn(
-            self.config.shards as usize,
-            generators,
-            self.now,
-            end,
-            self.config.broker_tick,
-        );
-        for index in 0..self.sources.len() {
-            if plane.first_exists()[index] {
-                plane.slots[index].reserved = Some(self.queue.reserve_seq());
-            }
-        }
-        self.arrival_plane = Some(plane);
-    }
-
     /// Advance the simulation, processing every event scheduled strictly
     /// before `until`, then park the clock at `until`. Events at or beyond
     /// the boundary stay queued, so a later call picks up exactly where
     /// this one stopped.
     pub fn run_until(&mut self, until: SimTime) {
-        if let Some(mut plane) = self.arrival_plane.take() {
-            self.run_until_sharded(until, &mut plane);
-            self.arrival_plane = Some(plane);
-            return;
-        }
         while let Some(ev) = self.queue.pop_before(until) {
             self.now = ev.at;
             self.dispatch(ev.payload, until);
@@ -461,193 +407,6 @@ impl Server {
             Event::FaultEnd { index } => self.on_fault_end(index),
             Event::LeakStep { index } => self.on_leak_step(index),
         }
-    }
-
-    /// The sharded event loop: merge the timing wheel's head with the
-    /// per-source arrival buffers into one global `(time, seq)` order,
-    /// pumping the generator shards whenever an unsealed frontier could
-    /// still precede the best candidate. Byte-identical to the
-    /// single-threaded loop by the seq-reservation protocol (see
-    /// [`crate::shard`]).
-    fn run_until_sharded(&mut self, until: SimTime, plane: &mut ArrivalPlane) {
-        loop {
-            match self.shard_next(plane, until) {
-                ShardStep::Pump => plane.pump(),
-                ShardStep::Done => break,
-                ShardStep::Wheel => {
-                    let ev = self.queue.pop().expect("peeked wheel event pops");
-                    self.now = ev.at;
-                    self.dispatch(ev.payload, until);
-                }
-                ShardStep::Source(source) => {
-                    let s = source as usize;
-                    let packed = plane.slots[s]
-                        .front()
-                        .expect("source candidate has a buffered head");
-                    plane.slots[s].consume(1);
-                    let (at, has_next) = unpack_arrival(packed);
-                    self.now = SimTime::from_micros(at);
-                    self.queue.external_pop(self.now);
-                    self.arrival_decision(source);
-                    // Reserve the next arrival's seq *after* the
-                    // admission pipeline's own schedules, where the
-                    // single-threaded path schedules the next arrival.
-                    plane.slots[s].reserved = if has_next {
-                        Some(self.queue.reserve_seq())
-                    } else {
-                        None
-                    };
-                    if self.sources[s].in_flight >= self.config.arrivals[s].max_in_flight {
-                        self.drain_shed(plane, s, until);
-                    }
-                }
-            }
-        }
-        self.now = self.now.max(until);
-    }
-
-    /// Pick the next sharded-loop action (see `run_until_sharded`): the
-    /// earliest `(time, seq)` key over the wheel head and the per-source
-    /// buffer fronts — released only if no unsealed source could still
-    /// precede it and it lies before `until` — else pump or stop.
-    fn shard_next(&self, plane: &ArrivalPlane, until: SimTime) -> ShardStep {
-        let until_key = (until.as_micros(), 0u64);
-        // Best buffered arrival: per-source fronts carry their reserved
-        // seq, and within a source time and seq are both increasing.
-        let mut best: Option<((u64, u64), u32)> = None;
-        // Frontier of the sources whose next arrival time is still
-        // unknown: it fires at `(>= seal, reserved seq)`, so the exact
-        // safety bound is the min of those keys.
-        let mut blocked: Option<(u64, u64)> = None;
-        for (s, slot) in plane.slots.iter().enumerate() {
-            let Some(seq) = slot.reserved else { continue };
-            match slot.front() {
-                Some(packed) => {
-                    let key = ((unpack_arrival(packed).0, seq), s as u32);
-                    if best.map_or(true, |b| key < b) {
-                        best = Some(key);
-                    }
-                }
-                None => {
-                    let key = (plane.seals[slot.shard], seq);
-                    if blocked.map_or(true, |b| key < b) {
-                        blocked = Some(key);
-                    }
-                }
-            }
-        }
-        let wheel = self
-            .queue
-            .peek_stamp()
-            .map(|(at, seq)| (at.as_micros(), seq));
-        let (key, step) = match (wheel, best) {
-            (Some(w), Some((b, s))) if b < w => (b, ShardStep::Source(s)),
-            (Some(w), _) => (w, ShardStep::Wheel),
-            (None, Some((b, s))) => (b, ShardStep::Source(s)),
-            (None, None) => {
-                // Nothing runnable. If an unknown arrival could still land
-                // before the boundary, wait for it; otherwise we are done.
-                return match blocked {
-                    Some(b) if b < until_key => ShardStep::Pump,
-                    _ => ShardStep::Done,
-                };
-            }
-        };
-        if key >= until_key {
-            // The candidate parks at the boundary — but only once no
-            // unknown arrival can precede the boundary either.
-            return match blocked {
-                Some(b) if b < until_key => ShardStep::Pump,
-                _ => ShardStep::Done,
-            };
-        }
-        match blocked {
-            Some(b) if b <= key => ShardStep::Pump,
-            _ => step,
-        }
-    }
-
-    /// Bulk-shed fast path: while a source sits at its concurrency cap,
-    /// its arrivals are pure sheds — a counter bump, a digest fold and
-    /// seq bookkeeping, with no RNG draws, no trace events and no wheel
-    /// mutations. Every bound the merge compares against is therefore
-    /// *stable* across the drain except this source's own key, so the
-    /// whole burst is dispatched against one precomputed bound instead
-    /// of re-running the full candidate selection per arrival.
-    fn drain_shed(&mut self, plane: &mut ArrivalPlane, s: usize, until: SimTime) {
-        debug_assert!(
-            self.sources[s].in_flight >= self.config.arrivals[s].max_in_flight,
-            "drain_shed entered below the concurrency cap"
-        );
-        let mut bound = (until.as_micros(), 0u64);
-        if let Some((at, seq)) = self.queue.peek_stamp() {
-            bound = bound.min((at.as_micros(), seq));
-        }
-        for (o, slot) in plane.slots.iter().enumerate() {
-            if o == s {
-                continue;
-            }
-            let Some(seq) = slot.reserved else { continue };
-            let key = match slot.front() {
-                Some(packed) => (unpack_arrival(packed).0, seq),
-                None => (plane.seals[slot.shard], seq),
-            };
-            bound = bound.min(key);
-        }
-        // The burst itself never schedules, pops or completes anything, so
-        // `in_flight` stays at the cap and the queue's internal state is
-        // frozen: each arrival is a digest fold plus counter bumps. The
-        // per-arrival queue traffic (one `external_pop` + one
-        // `reserve_seq`) collapses into a single `external_batch` because
-        // the reservations a pure run takes are consecutive from
-        // `peek_seq` — arrival `i > 0`'s merge key is simply
-        // `(at_i, base + i - 1)`.
-        let slot = &mut plane.slots[s];
-        let Some(first_seq) = slot.reserved else {
-            return;
-        };
-        let base = self.queue.peek_seq();
-        let mut key_seq = first_seq;
-        let mut popped = 0u64;
-        let mut last_at = 0u64;
-        let mut exhausted = false;
-        let mut digest = self.arrival_digest;
-        while let Some(run) = slot.front_run() {
-            let mut taken = 0usize;
-            let mut stop = false;
-            for &packed in run {
-                let (at, has_next) = unpack_arrival(packed);
-                if (at, key_seq) >= bound {
-                    stop = true;
-                    break;
-                }
-                taken += 1;
-                digest = fold_arrival_digest(digest, at, s as u32, 1);
-                last_at = at;
-                popped += 1;
-                if !has_next {
-                    exhausted = true;
-                    stop = true;
-                    break;
-                }
-                key_seq = base + popped - 1;
-            }
-            slot.consume(taken);
-            if stop {
-                break;
-            }
-        }
-        if popped == 0 {
-            return;
-        }
-        let reserved = popped - exhausted as u64;
-        slot.reserved = (!exhausted).then(|| base + reserved - 1);
-        self.now = SimTime::from_micros(last_at);
-        self.queue.external_batch(popped, reserved, self.now);
-        self.arrival_digest = digest;
-        let src = &mut self.sources[s];
-        src.arrivals += popped;
-        src.shed += popped;
     }
 
     /// Resize the active client population to `n` (capped at the configured
@@ -800,10 +559,8 @@ impl Server {
     }
 
     /// Decide one arrival's admission at `self.now`, update the source's
-    /// counters and fold the decision into the streaming digest. Shared
-    /// verbatim by the single-threaded and sharded dispatch paths, so
-    /// the two can never drift. Returns the decision code.
-    fn arrival_decision(&mut self, source: u32) -> u8 {
+    /// counters and fold the decision into the streaming digest.
+    fn arrival_decision(&mut self, source: u32) {
         let s = source as usize;
         self.sources[s].arrivals += 1;
         let code: u8 = if self.sources[s].in_flight >= self.config.arrivals[s].max_in_flight {
@@ -818,7 +575,6 @@ impl Server {
             2 // shed by the class breaker
         };
         self.fold_arrival(self.now, source, code);
-        code
     }
 
     /// Fold one arrival decision into the streaming FNV-1a digest.
@@ -861,7 +617,7 @@ impl Server {
 
     /// Install a set of timed faults (see [`FaultSpec`]). Call once, before
     /// [`Server::begin`]: each fault becomes a pair of begin/end events on
-    /// the wheel, so injection is part of the deterministic event order and
+    /// the event queue, so injection is part of the deterministic event order and
     /// replays byte-identically. Faults whose windows extend past the run
     /// simply never clear (their effects last to the end).
     pub fn install_faults(&mut self, faults: &[FaultSpec]) {
@@ -1771,16 +1527,183 @@ mod tests {
             if let Some(tie) = tie {
                 // The head was scheduled first, so its lower seq fires first.
                 let head = server.queue.pop().expect("the tied head is queued");
-                assert_eq!((head.at, head.seq), (a[1], tie.seq()));
+                assert_eq!((head.at, head.seq), (a[1], tie));
                 assert!(matches!(head.payload, Event::BrokerTick));
             }
             let next = server.queue.pop().expect("the tied arrival is queued");
             assert_eq!(next.at, a[1]);
             assert!(matches!(next.payload, Event::Arrival { source: 0 }));
             if let Some(tie) = tie {
-                // `a[0]`'s skipped round trip consumed `tie.seq() + 1`.
-                assert_eq!(next.seq, tie.seq() + 2);
+                // `a[0]`'s skipped round trip consumed `tie + 1`.
+                assert_eq!(next.seq, tie + 2);
             }
+        }
+    }
+
+    /// Full-template profiles (SALES, TPC-H-like, OLTP), characterized once
+    /// for every skip-differential case so any workload mix can run.
+    fn full_profiles() -> Arc<WorkloadProfiles> {
+        static PROFILES: std::sync::OnceLock<Arc<WorkloadProfiles>> = std::sync::OnceLock::new();
+        PROFILES
+            .get_or_init(|| {
+                Arc::new(WorkloadProfiles::characterize_full(&ServerConfig::quick(
+                    1, true,
+                )))
+            })
+            .clone()
+    }
+
+    /// Decode one arrival-source knob tuple into a source config. The knobs
+    /// span all four arrival-process families; small caps push runs of
+    /// arrivals through the shed-run skip. The MMPP family bursts at
+    /// 10k–40k arrivals/s (25–100 µs gaps) for ≈2 s at a time, so skipped
+    /// arrivals regularly land on the exact microsecond of the queue head,
+    /// where the skip must stop.
+    fn knob_source(index: usize, kind: u8, rate: u32, cap: u32) -> ArrivalSourceConfig {
+        use throttledb_sim::ArrivalProcess;
+        let process = match kind {
+            0 => ArrivalProcess::Poisson {
+                rate_per_sec: 0.5 + rate as f64,
+            },
+            1 => ArrivalProcess::Mmpp {
+                calm_rate_per_sec: 0.2 + rate as f64 * 0.2,
+                burst_rate_per_sec: 10_000.0 * (1 + rate) as f64,
+                mean_calm_secs: 20.0,
+                mean_burst_secs: 2.0,
+            },
+            2 => ArrivalProcess::BoundedPareto {
+                alpha: 1.5,
+                min_secs: 0.2,
+                max_secs: 60.0,
+            },
+            _ => ArrivalProcess::Diurnal {
+                base_rate_per_sec: 0.5 + rate as f64 * 0.3,
+                amplitude: 0.8,
+                period_secs: 45.0,
+            },
+        };
+        ArrivalSourceConfig {
+            name: format!("src-{index}"),
+            process,
+            class: 0,
+            max_in_flight: cap,
+            modeled_clients: 1_000,
+        }
+    }
+
+    /// One skip-differential case: the config, the fault plan, and the
+    /// two phases' (mix, clients, seconds) knobs.
+    struct SkipCase {
+        cfg: ServerConfig,
+        faults: Vec<crate::fault::FaultSpec>,
+        phases: [(WorkloadMix, u32, SimDuration); 2],
+    }
+
+    fn skip_case(
+        seed: u64,
+        phase_knobs: [(u8, u32, u64); 2],
+        source_knobs: &[(u8, u32, u32)],
+        fault_knob: u8,
+    ) -> SkipCase {
+        let mut cfg = ServerConfig::quick(8, true);
+        cfg.seed = seed;
+        cfg.warmup = SimDuration::ZERO;
+        cfg.arrivals = source_knobs
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, rate, cap))| knob_source(i, kind, rate, cap))
+            .collect();
+        let mixes = [
+            WorkloadMix::default(),
+            WorkloadMix::sales_only(),
+            WorkloadMix::new(0.2, 0.4, 0.4),
+        ];
+        // A case must drive *some* load: with neither sources nor clients,
+        // the first phase gets one client (both sides see the same fixup).
+        let idle = source_knobs.is_empty() && phase_knobs.iter().all(|k| k.1 == 0);
+        let phases = [0, 1].map(|i| {
+            let (mix, clients, secs) = phase_knobs[i];
+            let clients = if idle && i == 0 { 1 } else { clients };
+            (mixes[mix as usize], clients, SimDuration::from_secs(secs))
+        });
+        cfg.duration = phases[0].2 + phases[1].2;
+        // The window sits inside the shortest schedule (two 45 s phases).
+        let kind = match fault_knob {
+            0 => Some(FaultKind::CompileStall { multiplier: 4.0 }),
+            1 => Some(FaultKind::SlotLoss { slots: 4 }),
+            2 => Some(FaultKind::ClientSurge { extra_clients: 3 }),
+            _ => None,
+        };
+        let faults = kind
+            .map(|kind| crate::fault::FaultSpec {
+                start: SimTime::from_secs(10),
+                duration: SimDuration::from_secs(20),
+                kind,
+            })
+            .into_iter()
+            .collect();
+        SkipCase {
+            cfg,
+            faults,
+            phases,
+        }
+    }
+
+    /// Run `case` with `advance` moving the server to each phase end, and
+    /// return its trace and metrics. The second phase's mix and client
+    /// count are applied at the boundary instant, between two `advance`
+    /// calls, so both drivers see the change at the same simulated time.
+    fn run_skip_case(
+        case: &SkipCase,
+        advance: fn(&mut Server, SimTime),
+    ) -> (Vec<TraceEvent>, RunMetrics) {
+        let mut server = Server::new(case.cfg.clone(), full_profiles());
+        server.enable_trace();
+        server.install_faults(&case.faults);
+        let mut end = SimTime::ZERO;
+        for (i, &(mix, clients, secs)) in case.phases.iter().enumerate() {
+            server.set_workload_mix(mix);
+            server.set_active_clients(clients);
+            if i == 0 {
+                server.begin();
+            }
+            end += secs;
+            advance(&mut server, end);
+        }
+        let trace = server.take_trace();
+        (trace, server.finish())
+    }
+
+    proptest::proptest! {
+        /// The shed-run skip is an optimization, never a semantics change:
+        /// a run whose `run_until` windows end at the phase boundaries
+        /// (the skip takes every at-cap run it can) must match the same
+        /// case driven one event time at a time (windows end 1 µs past the
+        /// queue head, so nearly every arrival makes its own queue round
+        /// trip) on the trace, the arrival digest, every per-source counter,
+        /// the dispatch count and the peak queue depth. A skip that runs
+        /// one arrival too far (`<=` against the head) fails here: the
+        /// queue's head assertion trips in debug builds, and the arrival
+        /// digest diverges where the skipped tie should have seen a slot
+        /// freed first.
+        #[test]
+        fn prop_shed_run_skip_matches_event_by_event_runs(
+            seed in 0u64..1_000_000,
+            phase0 in (0u8..3, 0u32..5, 45u64..90),
+            phase1 in (0u8..3, 0u32..5, 45u64..90),
+            source_knobs in proptest::collection::vec((0u8..4, 0u32..4, 1u32..9), 0..3),
+            fault_knob in 0u8..8,
+        ) {
+            let case = skip_case(seed, [phase0, phase1], &source_knobs, fault_knob);
+            let (whole_trace, whole) = run_skip_case(&case, Server::run_until);
+            let (stepped_trace, stepped) = run_skip_case(&case, run_event_by_event);
+            proptest::prop_assert_eq!(whole_trace, stepped_trace);
+            proptest::prop_assert_eq!(whole.arrival_digest, stepped.arrival_digest);
+            proptest::prop_assert_eq!(whole.events_dispatched, stepped.events_dispatched);
+            proptest::prop_assert_eq!(whole.peak_queue_depth, stepped.peak_queue_depth);
+            proptest::prop_assert_eq!(whole.completed.total(), stepped.completed.total());
+            proptest::prop_assert_eq!(whole.failed.total(), stepped.failed.total());
+            proptest::prop_assert_eq!(whole.arrival_sources, stepped.arrival_sources);
         }
     }
 
@@ -1821,106 +1744,6 @@ mod tests {
             "too few in-flight materializations ({}) to stress slot reuse",
             submitted.len()
         );
-    }
-
-    #[test]
-    fn sharded_run_is_byte_identical_to_single_threaded() {
-        // The tentpole's equivalence claim at the engine level: the same
-        // open-loop run with the arrival plane split across generator
-        // shards reproduces the single-threaded schedule exactly —
-        // trace, digest, counters, dispatch count and peak queue depth.
-        let profiles = profiles();
-        let run = |shards: u32| {
-            let mut cfg = ServerConfig::quick(4, true);
-            cfg.shards = shards;
-            cfg.arrivals = vec![
-                poisson_source(8.0, 0, 16),
-                ArrivalSourceConfig {
-                    name: "burst".to_string(),
-                    process: throttledb_sim::ArrivalProcess::Mmpp {
-                        calm_rate_per_sec: 1.0,
-                        burst_rate_per_sec: 40.0,
-                        mean_calm_secs: 30.0,
-                        mean_burst_secs: 5.0,
-                    },
-                    class: 0,
-                    max_in_flight: 4,
-                    modeled_clients: 10_000,
-                },
-            ];
-            let mut server = Server::new(cfg.clone(), profiles.clone());
-            server.enable_trace();
-            server.set_active_clients(cfg.clients);
-            server.begin();
-            server.run_until(SimTime::ZERO + SimDuration::from_secs(600));
-            // Mid-run boundary: the plane must survive parking and resuming.
-            server.run_until(SimTime::ZERO + cfg.duration);
-            let trace = server.take_trace();
-            (trace, server.finish())
-        };
-        let (base_trace, base) = run(1);
-        let (sharded_trace, sharded) = run(4);
-        assert!(base.arrivals > 1_000, "run too idle to prove anything");
-        assert_eq!(base_trace, sharded_trace, "sharded trace diverged");
-        assert_eq!(base.arrival_digest, sharded.arrival_digest);
-        assert_eq!(base.arrivals, sharded.arrivals);
-        assert_eq!(base.arrivals_admitted, sharded.arrivals_admitted);
-        assert_eq!(base.arrivals_shed, sharded.arrivals_shed);
-        assert_eq!(base.completed.total(), sharded.completed.total());
-        assert_eq!(base.events_dispatched, sharded.events_dispatched);
-        assert_eq!(base.peak_queue_depth, sharded.peak_queue_depth);
-        for (b, s) in base.arrival_sources.iter().zip(&sharded.arrival_sources) {
-            assert_eq!(b.arrivals, s.arrivals, "source {} offered", b.name);
-            assert_eq!(b.completed, s.completed, "source {} completed", b.name);
-            assert_eq!(b.failed, s.failed, "source {} failed", b.name);
-        }
-    }
-
-    #[test]
-    fn sharded_overloaded_source_sheds_identically_and_cheaply() {
-        // The bulk-shed drain: an at-cap firehose must stay byte-exact
-        // with the single-threaded path and keep the ~1-event-per-shed
-        // cost contract.
-        let profiles = profiles();
-        let run = |shards: u32| {
-            let mut cfg = ServerConfig::quick(0, true);
-            cfg.shards = shards;
-            cfg.arrivals = vec![poisson_source(50.0, 0, 2)];
-            Server::new(cfg, profiles.clone()).run()
-        };
-        let base = run(1);
-        let sharded = run(4);
-        assert!(base.arrivals > 100_000);
-        assert!(base.arrivals_shed > base.arrivals_admitted * 10);
-        assert_eq!(base.arrival_digest, sharded.arrival_digest);
-        assert_eq!(base.arrivals, sharded.arrivals);
-        assert_eq!(base.arrivals_shed, sharded.arrivals_shed);
-        assert_eq!(base.events_dispatched, sharded.events_dispatched);
-        assert_eq!(base.peak_queue_depth, sharded.peak_queue_depth);
-        assert!(sharded.events_dispatched < sharded.arrivals * 2);
-    }
-
-    #[test]
-    fn shards_without_sources_are_a_true_no_op() {
-        // A closed-loop config has no arrival plane to shard: shards = 4
-        // must take exactly the single-threaded path.
-        let profiles = profiles();
-        let run = |shards: u32| {
-            let mut cfg = ServerConfig::quick(8, true);
-            cfg.shards = shards;
-            let mut server = Server::new(cfg.clone(), profiles.clone());
-            server.enable_trace();
-            server.set_active_clients(cfg.clients);
-            server.begin();
-            server.run_until(SimTime::ZERO + cfg.duration);
-            let trace = server.take_trace();
-            (trace, server.finish())
-        };
-        let (base_trace, base) = run(1);
-        let (sharded_trace, sharded) = run(4);
-        assert_eq!(base_trace, sharded_trace);
-        assert_eq!(base.completed.total(), sharded.completed.total());
-        assert_eq!(base.events_dispatched, sharded.events_dispatched);
     }
 
     #[test]

@@ -196,7 +196,6 @@ pub struct ScenarioRunner {
     scenario: Scenario,
     record: bool,
     profiles: Option<Arc<WorkloadProfiles>>,
-    shards: u32,
     sink: Option<Rc<RefCell<dyn TraceSink>>>,
 }
 
@@ -206,7 +205,6 @@ impl fmt::Debug for ScenarioRunner {
             .field("scenario", &self.scenario)
             .field("record", &self.record)
             .field("profiles", &self.profiles)
-            .field("shards", &self.shards)
             .field("sink", &self.sink.as_ref().map(|_| "TraceSink"))
             .finish()
     }
@@ -219,7 +217,6 @@ impl ScenarioRunner {
             scenario,
             record: false,
             profiles: None,
-            shards: 1,
             sink: None,
         }
     }
@@ -241,16 +238,6 @@ impl ScenarioRunner {
         self
     }
 
-    /// Run across `shards` generator shards (default 1, the
-    /// single-threaded path). Any value produces byte-identical traces,
-    /// reports and digests — the determinism tests prove it — so this
-    /// only trades wall-clock time, never results.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        assert!(shards >= 1, "a run needs at least one shard");
-        self.shards = shards;
-        self
-    }
-
     /// Reuse already-characterized workload profiles instead of compiling
     /// every template through the optimizer again (tests and sweeps share
     /// them; profiles must cover every family the scenario's mixes use).
@@ -265,15 +252,11 @@ impl ScenarioRunner {
             scenario,
             record,
             profiles,
-            shards,
             sink,
         } = self;
         scenario.validate();
 
-        let mut config = scenario.runtime_config();
-        if shards > 1 {
-            config.shards = shards;
-        }
+        let config = scenario.runtime_config();
         let base_think = config.client_model.mean_think_time;
         let profiles =
             profiles.unwrap_or_else(|| Arc::new(WorkloadProfiles::characterize_full(&config)));
@@ -285,7 +268,7 @@ impl ScenarioRunner {
         if let Some(sink) = sink {
             server.set_trace_sink(sink);
         }
-        // Faults are ordinary timing-wheel events: installed once, before
+        // Faults are ordinary queued events: installed once, before
         // the first phase, they fire at their absolute offsets regardless
         // of the phase schedule around them.
         server.install_faults(&scenario.faults.to_specs());

@@ -6,8 +6,8 @@
 //!   reports (and survives an encode/decode round trip);
 //! * a different seed produces a different trace;
 //! * the golden traces under `tests/golden/` — recorded on the original
-//!   `BinaryHeap` event queue, before the timing-wheel and
-//!   template-interning refactor — are still reproduced byte for byte.
+//!   `BinaryHeap` event queue, before the template-interning refactor —
+//!   are still reproduced byte for byte.
 
 use std::sync::Arc;
 use throttledb_engine::{ServerConfig, WorkloadProfiles};
@@ -224,11 +224,8 @@ fn different_seeds_diverge() {
 /// re-recorded once, when the exponential retry backoff replaced the flat
 /// retry delay (a deliberate timing change for consecutive failures); the
 /// five chaos goldens pin the fault-injection layer, including the
-/// recorded `fault`/`shed`/`breaker` lines. The open-loop golden is the
-/// one whose `--shards 4` replay drives a *live* arrival plane (the
-/// closed-loop goldens have no sources, so their sharded run is the
-/// single-threaded path by construction): it pins the sharded engine's
-/// merged global order against the codec-v1 bytes.
+/// recorded `fault`/`shed`/`breaker` lines. The open-loop golden pins the
+/// arrival sources' admission order, shed-run skip included.
 #[test]
 fn golden_traces_replay_byte_identically() {
     let goldens: [(&str, &str); 8] = [
@@ -281,7 +278,7 @@ fn golden_traces_replay_byte_identically() {
         ));
         let outcome = ScenarioRunner::new(scenario())
             .record_trace(true)
-            .with_profiles(profiles.clone())
+            .with_profiles(profiles)
             .run();
         let live = outcome.trace.as_ref().expect("recording enabled");
         assert_eq!(
@@ -295,24 +292,6 @@ fn golden_traces_replay_byte_identically() {
             stored.replay(),
             outcome.phases,
             "{name}: golden replay diverges from live phase reports"
-        );
-        // The sharded engine must reproduce every committed golden byte
-        // for byte too: the shard count may never become visible in a
-        // trace. (The codec is unchanged at v1 — sharded runs serialize in
-        // the merged global order, so no golden needed re-recording.)
-        let sharded = ScenarioRunner::new(scenario())
-            .record_trace(true)
-            .with_profiles(profiles)
-            .with_shards(4)
-            .run();
-        assert_eq!(
-            sharded.trace.as_ref().expect("recording enabled").encode(),
-            golden,
-            "{name}: --shards 4 trace no longer matches the committed golden file"
-        );
-        assert_eq!(
-            sharded.phases, outcome.phases,
-            "{name}: --shards 4 phase reports diverge"
         );
     }
 }

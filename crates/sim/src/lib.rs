@@ -14,11 +14,8 @@
 //!
 //! * [`clock`] — virtual time ([`SimTime`], [`SimDuration`]) with microsecond
 //!   resolution.
-//! * [`events`] — a monotonic event queue / scheduler with stable FIFO
-//!   ordering for simultaneous events, implemented as a timing wheel
-//!   (near-future buckets + a far-future overflow heap) over a slab
-//!   [`arena`] so the hot scheduling path is allocation-free.
-//! * [`arena`] — the slab/free-list allocator backing the event queue.
+//! * [`events`] — a monotonic event queue / scheduler: a binary heap with
+//!   stable FIFO ordering for simultaneous events.
 //! * [`arrival`] — open-loop arrival processes (Poisson, MMPP,
 //!   bounded-Pareto, diurnal) for request streams decoupled from service
 //!   times.
@@ -27,28 +24,21 @@
 //!   log-normal-ish compile-time jitter).
 //! * [`series`] — bucketed time-series recorders used to regenerate the
 //!   paper's "completed queries per time slice" figures.
-//! * [`shard`] — sealed per-producer mailboxes and a deterministic
-//!   `(time, seq, shard)` merge, the exchange primitives behind
-//!   byte-identical sharded runs.
 //! * [`stats`] — histograms and summary statistics.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod arena;
 pub mod arrival;
 pub mod clock;
 pub mod events;
 pub mod rng;
 pub mod series;
-pub mod shard;
 pub mod stats;
 
-pub use arena::Arena;
 pub use arrival::{ArrivalProcess, ArrivalSampler};
 pub use clock::{SimDuration, SimTime};
-pub use events::{EventId, EventQueue, HeapEventQueue, ScheduledEvent};
+pub use events::{EventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use series::{GaugeTimeline, TimeSeries};
-pub use shard::{EpochMailbox, EpochMerge, Stamped};
 pub use stats::{Histogram, Running, Summary};
